@@ -15,23 +15,24 @@ import sys
 from dataclasses import dataclass, field
 
 from . import oracle, verify, webs
-from .diagram import Diagram, export
+from .diagram import export
 from .pauli import PauliOperator
-from .surface import (
+# perfbench/run.py builds its set-up circuit through the names imported here.
+from .surface import (  # noqa: F401
+    SCHEMES,
     CircuitSpec,
     Layout,
     build_diagram,
     build_layout,
     correlator_boundary_condition,
     injection_pattern,
+    logical_operator,
     logical_operators,
-    memory_pattern,
+    scheme_circuit,
 )
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
-
-SCHEMES = ("memory-z", "memory-x", "inject-y")
 
 
 @dataclass
@@ -45,30 +46,16 @@ class RunConfig:
     z_error_rate: float = 0.0
     errors: tuple[str, ...] = field(default_factory=tuple)  # e.g. ("X:14", "Z:3")
     postselect: str = "none"  # none | figure-set | all-deterministic
-    postselect_rounds: str = "first"  # first | all
     correlator: str = "auto"
     fmt: str = "json"
     out: str | None = None
 
     def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         for rate in (self.error_rate, self.z_error_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"error rate {rate} outside [0, 1]")
-
-
-def _pattern(layout: Layout, scheme: str):
-    if scheme == "inject-y":
-        return injection_pattern(layout)
-    return memory_pattern(layout, "Z" if scheme == "memory-z" else "X")
-
-
-def _logical(layout: Layout, scheme: str) -> PauliOperator:
-    z_l, x_l, y_l = logical_operators(layout)
-    return {"memory-z": z_l, "memory-x": x_l, "inject-y": y_l}[scheme]
 
 
 def _pauli_doc(op: PauliOperator) -> dict:
@@ -77,17 +64,20 @@ def _pauli_doc(op: PauliOperator) -> dict:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _postselect_set(diag: Diagram, config: RunConfig) -> list[str] | None:
+def _postselect_set(program: oracle.Program, config: RunConfig) -> list[str] | None:
     if config.postselect == "none":
         return None
-    checks = oracle.deterministic_checks(diag)
-    if config.postselect == "figure-set" and config.postselect_rounds == "first":
+    checks = oracle.deterministic_checks(program)
+    if config.postselect == "figure-set":
         checks = {c for c in checks if c.startswith("r1.")}
     return sorted(checks)
 
@@ -96,10 +86,9 @@ def _postselect_set(diag: Diagram, config: RunConfig) -> list[str] | None:
 
 
 def cmd_layout(config: RunConfig) -> int:
-    layout = build_layout(config.distance)
-    pattern = _pattern(layout, config.scheme)
-    diag = build_diagram(CircuitSpec(layout, pattern, rounds=1))
-    det = sorted(oracle.deterministic_checks(diag))
+    layout, diag, _ = scheme_circuit(config.distance, config.scheme)
+    pattern = SCHEMES[config.scheme].pattern(layout)
+    det = sorted(oracle.deterministic_checks(oracle.lower(diag)))
     z_l, x_l, y_l = logical_operators(layout)
     doc = {
         "version": 1,
@@ -125,16 +114,13 @@ def cmd_layout(config: RunConfig) -> int:
 
 
 def cmd_webs(config: RunConfig) -> int:
-    layout = build_layout(config.distance)
-    diag = build_diagram(CircuitSpec(layout, _pattern(layout, config.scheme),
-                                     rounds=config.rounds))
+    layout, diag, _ = scheme_circuit(config.distance, config.scheme, config.rounds)
     which = config.correlator
     if which == "auto":
-        which = {"memory-z": "Z", "memory-x": "X", "inject-y": "Y"}[config.scheme]
+        which = SCHEMES[config.scheme].logical
     correlator_web = None
     if which != "none":
-        z_l, x_l, y_l = logical_operators(layout)
-        op = {"Z": z_l, "X": x_l, "Y": y_l}[which]
+        op = logical_operator(layout, which)
         result = webs.solve(diag, correlator_boundary_condition(diag, op))
         if isinstance(result, webs.Infeasible):
             sys.stderr.write(f"{which} correlator is infeasible\n{result}\n")
@@ -174,16 +160,14 @@ def cmd_webs(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig, exhaustive: bool, samples: int,
                footnote5: bool) -> int:
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     results = verify.run_suite(
         config.distance, config.scheme, config.rounds,
         seed=config.seed, shots=config.shots,
         exhaustive_errors=exhaustive, samples=samples, footnote5=footnote5)
-    failures = 0
-    lines = []
-    for res in results:
-        status = "PASS" if res.ok else "FAIL"
-        failures += 0 if res.ok else 1
-        lines.append(f"{status} {res.name}: {res.detail}")
+    lines = [f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}" for res in results]
+    failures = sum(not res.ok for res in results)
     lines.append(f"{len(results) - failures}/{len(results)} checks passed")
     _emit("\n".join(lines) + "\n", config.out)
     return 0 if failures == 0 else VERIFY_ERROR
@@ -203,7 +187,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _parse_error_flags(diag: Diagram, layout: Layout,
+def _parse_error_flags(layout: Layout,
                        flags: tuple[str, ...]) -> list[tuple[tuple[str, str], str]]:
     items = []
     for flag in flags:
@@ -221,28 +205,22 @@ def _parse_error_flags(diag: Diagram, layout: Layout,
 
 
 def cmd_sample(config: RunConfig) -> int:
-    layout = build_layout(config.distance)
-    diag = build_diagram(CircuitSpec(layout, _pattern(layout, config.scheme),
-                                     rounds=config.rounds))
-    logical = _logical(layout, config.scheme)
-    postselect = _postselect_set(diag, config)
-    fixed_errors = _parse_error_flags(diag, layout, config.errors)
-    rows = []
-    record_lines = []
-    n_accepted = 0
-    n_flip_raw = 0
-    n_flip_accepted = 0
+    layout, diag, logical = scheme_circuit(config.distance, config.scheme,
+                                           config.rounds)
+    program = oracle.lower(diag)
+    postselect = _postselect_set(program, config)
+    fixed_errors = _parse_error_flags(layout, config.errors)
+    rows, record_lines = [], []
+    n_accepted = n_flip_raw = n_flip_accepted = 0
     for shot in range(config.shots):
         items = list(fixed_errors)
         for q in range(layout.n):
-            if config.error_rate and oracle.counter_unit(
-                    config.seed, shot, f"errx:{q}") < config.error_rate:
-                items.append(((f"q{q}.l0", f"q{q}.l1"), "X"))
-            if config.z_error_rate and oracle.counter_unit(
-                    config.seed, shot, f"errz:{q}") < config.z_error_rate:
-                items.append(((f"q{q}.l0", f"q{q}.l1"), "Z"))
+            for letter, rate in (("X", config.error_rate), ("Z", config.z_error_rate)):
+                if rate and oracle.counter_unit(
+                        config.seed, shot, f"err{letter.lower()}:{q}") < rate:
+                    items.append(((f"q{q}.l0", f"q{q}.l1"), letter))
         err = webs.PauliErrorSet.of(diag, items)
-        rec = oracle.run(diag, err, seed=config.seed, shot=shot,
+        rec = oracle.run(program, err, seed=config.seed, shot=shot,
                          postselect=postselect, measure_logical=logical)
         accepted = rec.accepted if rec.accepted is not None else True
         n_accepted += accepted
@@ -296,7 +274,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="code distance (odd, >= 3)")
     parser.add_argument("--rounds", type=int, default=1,
                         help="full rounds of parity measurement")
-    parser.add_argument("--scheme", choices=SCHEMES, default="inject-y")
+    parser.add_argument("--scheme", choices=tuple(SCHEMES), default="inject-y")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -339,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--postselect",
                           choices=("none", "figure-set", "all-deterministic"),
                           default="none")
-    p_sample.add_argument("--postselect-rounds", choices=("first", "all"),
-                          default="first")
     p_sample.add_argument("--format", dest="fmt", choices=("csv", "json", "jsonl"),
                           default="csv")
     return parser
@@ -355,7 +331,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         out=args.out,
     )
     for name in ("shots", "error_rate", "z_error_rate", "postselect",
-                 "postselect_rounds", "fmt", "correlator"):
+                 "fmt", "correlator"):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))
     if hasattr(args, "error"):

@@ -30,7 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 DOCUMENT_VERSION = 1
 
@@ -51,7 +52,8 @@ class Kind(str, Enum):
     MEASURE_OUT = "measure"
 
 
-_DEGREE_ONE_KINDS = (Kind.BOUNDARY_IN, Kind.BOUNDARY_OUT, Kind.MEASURE_OUT)
+BOUNDARY_KINDS = (Kind.BOUNDARY_IN, Kind.BOUNDARY_OUT)
+_DEGREE_ONE_KINDS = (*BOUNDARY_KINDS, Kind.MEASURE_OUT)
 
 _PHASE_NAMES = {0: "0", 1: "π/2", 2: "π", 3: "3π/2"}
 
@@ -110,6 +112,15 @@ class Node:
     def sort_key(self) -> tuple:
         col, row, layer = self.pos
         return (layer, row, col, self.kind.value, self.id)
+
+
+class Leg(NamedTuple):
+    """An edge touching a stub or boundary node (``outer``), with its index."""
+
+    edge: tuple[str, str]
+    index: int
+    outer: Node
+    inner: Node
 
 
 class DiagramError(ValueError):
@@ -178,9 +189,6 @@ class Diagram:
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._by_id
-
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         return tuple(self._adjacency[node_id])
 
@@ -217,6 +225,26 @@ class Diagram:
 
     def spiders(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.kind is Kind.SPIDER)
+
+    def _legs(self, kinds: tuple[Kind, ...]) -> tuple[Leg, ...]:
+        legs = []
+        for i, (a, b) in enumerate(self.edges):
+            na, nb = self._by_id[a], self._by_id[b]
+            if na.kind in kinds:
+                legs.append(Leg((a, b), i, na, nb))
+            elif nb.kind in kinds:
+                legs.append(Leg((a, b), i, nb, na))
+        return tuple(legs)
+
+    @cached_property
+    def stub_legs(self) -> tuple[Leg, ...]:
+        """Edges touching a measurement stub, in canonical edge order."""
+        return self._legs((Kind.MEASURE_OUT,))
+
+    @cached_property
+    def boundary_legs(self) -> tuple[Leg, ...]:
+        """Edges touching an open boundary node, in canonical edge order."""
+        return self._legs(BOUNDARY_KINDS)
 
     def incident_edges(self, node_id: str) -> tuple[tuple[str, str], ...]:
         """Incident edges of a node, in canonical edge order."""
@@ -315,6 +343,10 @@ def serialize(d: Diagram, webs: Mapping[str, Mapping[str, str]] | None = None) -
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_node(entry: dict, index: int) -> Node:
     def fail(msg: str):
         raise DiagramParseError(f"nodes[{index}]: {msg}")
@@ -324,6 +356,8 @@ def _parse_node(entry: dict, index: int) -> Node:
     for req in ("id", "kind", "pos"):
         if req not in entry:
             fail(f"missing field {req!r}")
+    if not isinstance(entry["id"], str):
+        fail("id must be a string")
     kind_str = entry["kind"]
     try:
         kind = Kind(kind_str)
@@ -331,7 +365,7 @@ def _parse_node(entry: dict, index: int) -> Node:
         fail(f"unknown kind {kind_str!r}")
     pos = entry["pos"]
     if (not isinstance(pos, list) or len(pos) != 3
-            or not all(isinstance(v, int) for v in pos)):
+            or not all(_is_int(v) for v in pos)):
         fail("pos must be a list of three integers")
     color = phase = None
     if kind is Kind.SPIDER:
@@ -341,7 +375,7 @@ def _parse_node(entry: dict, index: int) -> Node:
             color = Color(entry["color"])
         except ValueError:
             fail(f"unknown color {entry['color']!r}")
-        if not isinstance(entry["phase"], int):
+        if not _is_int(entry["phase"]):
             fail("phase must be an integer (units of π/2)")
         phase = Phase(entry["phase"])
     check_id = entry.get("check_id")
@@ -351,33 +385,43 @@ def _parse_node(entry: dict, index: int) -> Node:
                 color=color, phase=phase, check_id=check_id)
 
 
-def deserialize(text: str) -> Diagram:
-    """Parse a diagram document; raises DiagramParseError with field context."""
+def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise DiagramParseError("top level must be an object")
-    if doc.get("version") != DOCUMENT_VERSION:
+    return doc
+
+
+def deserialize(text: str) -> Diagram:
+    """Parse a diagram document; raises DiagramParseError with field context."""
+    doc = _load_document(text)
+    if not _is_int(doc.get("version")) or doc["version"] != DOCUMENT_VERSION:
         raise DiagramParseError(f"unsupported document version {doc.get('version')!r}")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()):
         raise DiagramParseError("metadata must map strings to strings")
-    nodes = [_parse_node(entry, i) for i, entry in enumerate(doc.get("nodes", []))]
+    node_entries, edge_entries = doc.get("nodes", []), doc.get("edges", [])
+    if not isinstance(node_entries, list) or not isinstance(edge_entries, list):
+        raise DiagramParseError("nodes and edges must be lists")
+    nodes = [_parse_node(entry, i) for i, entry in enumerate(node_entries)]
     ids = {n.id for n in nodes}
     edges: list[tuple[str, str]] = []
     edge_kinds: dict[tuple[str, str], str] = {}
-    for i, entry in enumerate(doc.get("edges", [])):
+    for i, entry in enumerate(edge_entries):
         if not isinstance(entry, list) or len(entry) not in (2, 3):
             raise DiagramParseError(f"edges[{i}]: expected [idA, idB] or [idA, idB, kind]")
         a, b = entry[0], entry[1]
         for endpoint in (a, b):
-            if endpoint not in ids:
+            if not isinstance(endpoint, str) or endpoint not in ids:
                 raise DiagramParseError(f"edges[{i}]: unknown node id {endpoint!r}")
         edges.append((a, b))
         if len(entry) == 3:
+            if not isinstance(entry[2], str):
+                raise DiagramParseError(f"edges[{i}]: edge kind must be a string")
             edge_kinds[(a, b)] = entry[2]
     try:
         return Diagram(nodes, edges, metadata, edge_kinds)
@@ -387,10 +431,13 @@ def deserialize(text: str) -> Diagram:
 
 def read_webs(text: str, d: Diagram) -> dict[str, dict[str, str]]:
     """Extract the named webs embedded in a diagram document."""
-    doc = json.loads(text)
-    webs = doc.get("webs", {})
+    webs = _load_document(text).get("webs", {})
+    if not isinstance(webs, dict):
+        raise DiagramParseError("webs must be an object")
     out: dict[str, dict[str, str]] = {}
     for name, highlight in webs.items():
+        if not isinstance(highlight, dict):
+            raise DiagramParseError(f"web {name!r}: expected an object")
         parsed: dict[str, str] = {}
         for edge_name, letter in highlight.items():
             d.edge_from_name(edge_name)

@@ -11,6 +11,8 @@ so forced-outcome analysis can tell apart "deterministically +1" from
 Diagrams built by :mod:`zxwebs.surface` are lowered structurally (layer 0
 becomes a product-state preparation, each measurement layer a list of
 whole-plaquette Pauli measurements); nothing is trusted from metadata.
+A diagram is lowered once into a :class:`Program`; each shot then only
+places its error insertions between the program's layers.
 
 Randomness contract: every random bit is drawn from a counter-based
 generator keyed by (seed, shot index, instruction token), so shots are
@@ -69,6 +71,24 @@ def _word_product(xa: np.ndarray, za: np.ndarray, xb: np.ndarray, zb: np.ndarray
     return total % 4
 
 
+def _pauli_vectors(op: PauliOperator) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense x and z bit vectors of a Pauli, and its sign bit."""
+    x = np.zeros(op.n, dtype=np.uint8)
+    z = np.zeros(op.n, dtype=np.uint8)
+    x[list(op.x_bits())] = 1
+    z[list(op.z_bits())] = 1
+    return x, z, 0 if op.sign == 1 else 1
+
+
+_LETTER_OF_BITS = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+
+def _pauli_operator(x: np.ndarray, z: np.ndarray, sign_bit: int) -> PauliOperator:
+    bits = zip(x.tolist(), z.tolist())
+    mapping = {q: _LETTER_OF_BITS[b] for q, b in enumerate(bits) if b in _LETTER_OF_BITS}
+    return PauliOperator.from_dict(len(x), mapping, -1 if sign_bit else 1)
+
+
 class Tableau:
     """Stabilizer/destabilizer tableau with native multi-qubit Pauli measurement."""
 
@@ -90,13 +110,7 @@ class Tableau:
     def _op_vectors(self, op: PauliOperator) -> tuple[np.ndarray, np.ndarray, int]:
         if op.n != self.n:
             raise ValueError(f"operator acts on {op.n} qubits, tableau has {self.n}")
-        x = np.zeros(self.n, dtype=np.uint8)
-        z = np.zeros(self.n, dtype=np.uint8)
-        for q in op.x_bits():
-            x[q] = 1
-        for q in op.z_bits():
-            z[q] = 1
-        return x, z, 0 if op.sign == 1 else 1
+        return _pauli_vectors(op)
 
     def _anticommute_mask(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         overlap = self.xs.astype(np.int16) @ z.astype(np.int16) \
@@ -172,19 +186,10 @@ class Tableau:
         return MeasureResult(outcome=outcome, deterministic=True, aux=aux_mask)
 
     def row_operator(self, row: int) -> PauliOperator:
-        mapping: dict[int, str] = {}
-        for q in range(self.n):
-            bits = (int(self.xs[row, q]), int(self.zs[row, q]))
-            letter = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}.get(bits)
-            if letter:
-                mapping[q] = letter
-        return PauliOperator.from_dict(self.n, mapping, -1 if self.signs[row] else 1)
+        return _pauli_operator(self.xs[row], self.zs[row], self.signs[row])
 
     def stabilizers(self) -> list[PauliOperator]:
         return [self.row_operator(self.n + i) for i in range(self.n)]
-
-    def destabilizers(self) -> list[PauliOperator]:
-        return [self.row_operator(i) for i in range(self.n)]
 
     def check_valid(self) -> None:
         """Commutation and rank sanity checks (debug aid)."""
@@ -236,13 +241,7 @@ def canonical_group(n: int, generators: Iterable[PauliOperator]) -> tuple[PauliO
     for op in generators:
         if op.n != n:
             raise ValueError("generator qubit count mismatch")
-        x = np.zeros(n, dtype=np.uint8)
-        z = np.zeros(n, dtype=np.uint8)
-        for q in op.x_bits():
-            x[q] = 1
-        for q in op.z_bits():
-            z[q] = 1
-        rows.append((x, z, 0 if op.sign == 1 else 1))
+        rows.append(_pauli_vectors(op))
 
     def mul(a, b):
         exponent = (2 * a[2] + 2 * b[2] + _word_product(a[0], a[1], b[0], b[1])) % 4
@@ -268,12 +267,7 @@ def canonical_group(n: int, generators: Iterable[PauliOperator]) -> tuple[PauliO
             if sign:
                 raise ValueError("-identity generated; inconsistent generator set")
             continue
-        mapping = {}
-        for q in range(n):
-            letter = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}.get((int(x[q]), int(z[q])))
-            if letter:
-                mapping[q] = letter
-        out.append(PauliOperator.from_dict(n, mapping, -1 if sign else 1))
+        out.append(_pauli_operator(x, z, sign))
     return tuple(out)
 
 
@@ -444,38 +438,51 @@ class MeasureCheck:
 Instruction = Prepare | ApplyPauli | MeasureCheck
 
 
-def lower(d: Diagram, errors: PauliErrorSet | None = None) -> list[Instruction]:
-    """Instruction stream: prepare, then whole-plaquette measurements in order.
+@dataclass(frozen=True)
+class Program:
+    """A diagram lowered once: its structure and the error-free measurements."""
 
-    Error insertions are placed right after the measurements of the layer
-    below their edge (layer 0 inserts immediately after preparation).
-    Errors on non-world-line edges are not representable and are rejected.
-    """
-    structure = diagram_structure(d)
-    n = structure.n
-    slots: dict[int, list[ApplyPauli]] = {}
-    if errors is not None:
-        for edge, letter in errors.insertions:
+    diagram: Diagram
+    structure: DiagramStructure
+    layers: tuple[tuple[MeasureCheck, ...], ...]  # layers[k - 1]: layer k, in order
+
+    def instructions(self, errors: PauliErrorSet | None = None) -> list[Instruction]:
+        """Instruction stream: prepare, then whole-plaquette measurements in order.
+
+        Error insertions are placed right after the measurements of the layer
+        below their edge (layer 0 inserts immediately after preparation).
+        Errors on non-world-line edges are not representable and are rejected.
+        """
+        d, edge_slots = self.diagram, self.structure.edge_slots
+        slots: dict[int, list[ApplyPauli]] = {}
+        for edge, letter in errors.insertions if errors is not None else ():
             key = d.edge_key(*edge)
-            if key not in structure.edge_slots:
+            if key not in edge_slots:
                 raise LoweringError(
                     f"error on {d.edge_name(key)} is not on a data world line")
-            q, after_layer = structure.edge_slots[key]
+            q, after_layer = edge_slots[key]
             slots.setdefault(after_layer, []).append(ApplyPauli(qubit=q, letter=letter))
-    for pending in slots.values():
-        pending.sort(key=lambda a: (a.qubit, a.letter))
-    instrs: list[Instruction] = [
-        Prepare(pattern=tuple(sorted(structure.init.items())))
-    ]
-    instrs.extend(slots.get(0, []))
-    for layer in range(1, 2 * structure.rounds + 1):
-        for check in structure.checks:
-            if check.layer != layer:
-                continue
-            op = PauliOperator.from_dict(n, {q: check.ptype for q in check.support})
-            instrs.append(MeasureCheck(check_id=check.check_id, op=op))
-        instrs.extend(slots.get(layer, []))
-    return instrs
+        for pending in slots.values():
+            pending.sort(key=lambda a: (a.qubit, a.letter))
+        instrs: list[Instruction] = [
+            Prepare(pattern=tuple(sorted(self.structure.init.items())))
+        ]
+        instrs.extend(slots.get(0, []))
+        for layer, checks in enumerate(self.layers, 1):
+            instrs.extend(checks)
+            instrs.extend(slots.get(layer, []))
+        return instrs
+
+
+def lower(d: Diagram) -> Program:
+    """Read the diagram's structure and build its measurements, once."""
+    structure = diagram_structure(d)
+    layers: list[list[MeasureCheck]] = [[] for _ in range(2 * structure.rounds)]
+    for check in structure.checks:
+        op = PauliOperator.from_dict(structure.n, {q: check.ptype for q in check.support})
+        layers[check.layer - 1].append(MeasureCheck(check_id=check.check_id, op=op))
+    return Program(diagram=d, structure=structure,
+                   layers=tuple(map(tuple, layers)))
 
 
 # -- shots --------------------------------------------------------------------
@@ -500,23 +507,22 @@ class ShotRecord:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def run(d: Diagram, errors: PauliErrorSet | None = None, *, seed: int = 0,
+def run(program: Program, errors: PauliErrorSet | None = None, *, seed: int = 0,
         shot: int = 0, postselect: Iterable[str] | None = None,
         measure_logical: PauliOperator | None = None,
         forced_outcomes: Mapping[str, int] | None = None) -> ShotRecord:
-    """Execute one shot of the lowered diagram.
+    """Execute one shot of a lowered diagram.
 
     ``postselect`` names check_ids that must all return +1 (bit 0) for the
     shot to be accepted. ``forced_outcomes`` pins the named random
     measurements to given bits (conditioning, for determinism analysis);
     everything else draws from the counter-based generator.
     """
-    instrs = lower(d, errors)
     forced_outcomes = dict(forced_outcomes or {})
     outcomes: dict[str, int] = {}
     forced: dict[str, bool] = {}
     tableau: Tableau | None = None
-    for index, instr in enumerate(instrs):
+    for index, instr in enumerate(program.instructions(errors)):
         if isinstance(instr, Prepare):
             tableau = prepare(dict(instr.pattern))
         elif isinstance(instr, ApplyPauli):
@@ -544,7 +550,7 @@ def run(d: Diagram, errors: PauliErrorSet | None = None, *, seed: int = 0,
                       accepted=accepted, logical_y=logical_y)
 
 
-def deterministic_checks(d: Diagram) -> frozenset[str]:
+def deterministic_checks(program: Program) -> frozenset[str]:
     """check_ids whose error-free outcome is forced to +1 regardless of coins.
 
     Runs the lowered circuit once with symbolic outcome tracking: a check
@@ -554,7 +560,7 @@ def deterministic_checks(d: Diagram) -> frozenset[str]:
     """
     tableau: Tableau | None = None
     out: set[str] = set()
-    for instr in lower(d):
+    for instr in program.instructions():
         if isinstance(instr, Prepare):
             tableau = prepare(dict(instr.pattern))
         elif isinstance(instr, MeasureCheck):

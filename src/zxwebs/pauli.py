@@ -106,7 +106,3 @@ class PauliOperator:
         if not self.paulis:
             return head + "I"
         return head + " ".join(f"{letter}{q}" for q, letter in self.paulis)
-
-
-def identity(n: int) -> PauliOperator:
-    return PauliOperator(n)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .diagram import Color, Diagram, DiagramError, Node, validate
 from .pauli import PauliOperator
@@ -264,6 +266,34 @@ def logical_operators(layout: Layout) -> tuple[PauliOperator, PauliOperator, Pau
     return z_l, x_l, y_l
 
 
+def logical_operator(layout: Layout, letter: str) -> PauliOperator:
+    """The logical operator named by ``letter`` ("Z", "X" or "Y")."""
+    return dict(zip("ZXY", logical_operators(layout)))[letter]
+
+
+class Scheme(NamedTuple):
+    pattern: Callable[[Layout], InitPattern]
+    logical: str  # letter of the logical operator the scheme prepares
+
+
+SCHEMES = {
+    "memory-z": Scheme(partial(memory_pattern, basis="Z"), "Z"),
+    "memory-x": Scheme(partial(memory_pattern, basis="X"), "X"),
+    "inject-y": Scheme(injection_pattern, "Y"),
+}
+
+
+def scheme_circuit(d: int, scheme: str,
+                   rounds: int = 1) -> tuple[Layout, Diagram, PauliOperator]:
+    """Layout, diagram and logical operator of a named scheme's circuit."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    layout = build_layout(d)
+    pattern, letter = SCHEMES[scheme]
+    diagram = build_diagram(CircuitSpec(layout, pattern(layout), rounds=rounds))
+    return layout, diagram, logical_operator(layout, letter)
+
+
 # -- glue between builder naming and webs/Pauli land -------------------------
 
 
@@ -277,27 +307,18 @@ def qubit_of_output_leg(d: Diagram, leg_id: str) -> int:
     return distance * (node.pos[0] // 2) + node.pos[1] // 2
 
 
-_HIGHLIGHT_OF_LETTER = {"X": Highlight.X, "Z": Highlight.Z, "Y": Highlight.Y}
-
-
 def correlator_boundary_condition(diag: Diagram, op: PauliOperator) -> dict[str, Highlight]:
     """Boundary condition pinning every output leg to the operator's letter.
 
     Legs outside the operator's support are pinned to None, so any web the
     solver returns has boundary restriction exactly ``op`` (up to sign).
     """
-    bc: dict[str, Highlight] = {}
-    for q in range(op.n):
-        bc[output_leg_id(q)] = _HIGHLIGHT_OF_LETTER.get(op.letter(q), Highlight.NONE)
-    return bc
+    return {output_leg_id(q): Highlight(op.letter(q)) for q in range(op.n)}
 
 
 def web_output_pauli(diag: Diagram, web: Web) -> PauliOperator:
     """The (unsigned) Pauli a web places on the open output legs."""
     distance = int(diag.metadata["distance"])
-    mapping: dict[int, str] = {}
-    for leg_id, highlight in web.boundary_restriction().items():
-        if highlight is Highlight.NONE:
-            continue
-        mapping[qubit_of_output_leg(diag, leg_id)] = highlight.value
+    mapping = {qubit_of_output_leg(diag, leg_id): highlight.value
+               for leg_id, highlight in web.boundary_restriction().items()}
     return PauliOperator.from_dict(distance * distance, mapping)

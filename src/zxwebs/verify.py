@@ -18,17 +18,13 @@ from . import oracle, webs
 from .diagram import Diagram, validate
 from .pauli import PauliOperator
 from .surface import (
-    CircuitSpec,
     InitState,
     Layout,
-    build_diagram,
-    build_layout,
     correlator_boundary_condition,
-    injection_pattern,
-    logical_operators,
-    memory_pattern,
+    logical_operator,
+    scheme_circuit,
 )
-from .webs import Highlight, PauliErrorSet, Web
+from .webs import Highlight, PauliErrorSet, Web, WebSpace
 
 
 @dataclass(frozen=True)
@@ -36,21 +32,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-
-def _pattern_for(layout: Layout, scheme: str):
-    if scheme == "inject-y":
-        return injection_pattern(layout)
-    if scheme == "memory-z":
-        return memory_pattern(layout, "Z")
-    if scheme == "memory-x":
-        return memory_pattern(layout, "X")
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _logical_for(layout: Layout, scheme: str) -> PauliOperator:
-    z_l, x_l, y_l = logical_operators(layout)
-    return {"inject-y": y_l, "memory-z": z_l, "memory-x": x_l}[scheme]
 
 
 def stub_product(record: oracle.ShotRecord, stub_set) -> int:
@@ -63,8 +44,7 @@ def check_builder_valid(diag: Diagram) -> CheckResult:
                        f"{len(violations)} violations")
 
 
-def check_web_space(diag: Diagram) -> CheckResult:
-    space = webs.web_space(diag)
+def check_web_space(diag: Diagram, space: WebSpace) -> CheckResult:
     n_vars = 2 * len(diag.edges)
     ok = space.rank + space.dim == n_vars
     bad = sum(1 for w in space.basis if webs.validate_web(diag, w))
@@ -90,8 +70,8 @@ def check_web_space(diag: Diagram) -> CheckResult:
         f"{bad} invalid basis webs; terminations {'ok' if terminations_ok else 'BROKEN'}")
 
 
-def check_linearity(diag: Diagram, combos: int = 200, seed: int = 0) -> CheckResult:
-    space = webs.web_space(diag)
+def check_linearity(diag: Diagram, space: WebSpace, combos: int = 200,
+                    seed: int = 0) -> CheckResult:
     rng = random.Random(seed)
     bad = 0
     for _ in range(combos):
@@ -105,15 +85,16 @@ def check_linearity(diag: Diagram, combos: int = 200, seed: int = 0) -> CheckRes
                        f"{combos} random XOR combinations, {bad} invalid")
 
 
-def check_detectors(diag: Diagram, seed: int, shots: int) -> CheckResult:
-    dets = webs.detectors(diag)
-    det_checks = oracle.deterministic_checks(diag)
-    single = {next(iter(w.stub_set())) for w in dets if len(w.stub_set()) == 1}
+def check_detectors(program: oracle.Program, dets: list[Web], seed: int,
+                    shots: int) -> CheckResult:
+    det_checks = oracle.deterministic_checks(program)
+    stub_sets = [w.stub_set() for w in dets]
+    single = {next(iter(s)) for s in stub_sets if len(s) == 1}
     ok = single == det_checks
     flips = 0
     for s in range(shots):
-        rec = oracle.run(diag, seed=seed, shot=s)
-        flips += sum(stub_product(rec, w.stub_set()) for w in dets)
+        rec = oracle.run(program, seed=seed, shot=s)
+        flips += sum(stub_product(rec, stub_set) for stub_set in stub_sets)
     ok = ok and flips == 0
     return CheckResult(
         "detectors-deterministic", ok,
@@ -122,9 +103,9 @@ def check_detectors(diag: Diagram, seed: int, shots: int) -> CheckResult:
         f"deterministic checks; {flips} nontrivial products over {shots} shots")
 
 
-def check_correlator(diag: Diagram, layout: Layout, scheme: str,
-                     seed: int, shots: int) -> CheckResult:
-    op = _logical_for(layout, scheme)
+def check_correlator(program: oracle.Program, layout: Layout, scheme: str,
+                     op: PauliOperator, seed: int, shots: int) -> CheckResult:
+    diag = program.diagram
     result = webs.solve(diag, correlator_boundary_condition(diag, op))
     if isinstance(result, webs.Infeasible):
         return CheckResult("correlator", False, str(result))
@@ -139,7 +120,7 @@ def check_correlator(diag: Diagram, layout: Layout, scheme: str,
     stub_set = result.stub_set()
     bad = 0
     for s in range(shots):
-        rec = oracle.run(diag, seed=seed, shot=s, measure_logical=op)
+        rec = oracle.run(program, seed=seed, shot=s, measure_logical=op)
         if (stub_product(rec, stub_set) + rec.logical_y) % 2 != 0:
             bad += 1
     return CheckResult(
@@ -150,7 +131,7 @@ def check_correlator(diag: Diagram, layout: Layout, scheme: str,
 
 def check_forbidden_termination(diag: Diagram, layout: Layout) -> CheckResult:
     """Only meaningful for inject-y: a Z_L-only web must be infeasible."""
-    z_l, _, _ = logical_operators(layout)
+    z_l = logical_operator(layout, "Z")
     result = webs.solve(diag, correlator_boundary_condition(diag, z_l))
     corner = layout.qubit_index(0, layout.d - 1)
     if not isinstance(result, webs.Infeasible):
@@ -161,20 +142,16 @@ def check_forbidden_termination(diag: Diagram, layout: Layout) -> CheckResult:
                        f"witness spiders include injected corner: {ok}")
 
 
-def _world_line_errors(diag: Diagram) -> list[tuple[tuple[str, str], str]]:
-    structure = oracle.diagram_structure(diag)
-    out = []
-    for q in range(structure.n):
-        for edge in structure.world_edges(q):
-            for letter in ("X", "Z"):
-                out.append((edge, letter))
-    return out
+def _world_line_errors(structure: oracle.DiagramStructure) -> list[tuple[tuple[str, str], str]]:
+    return [(edge, letter) for q in range(structure.n)
+            for edge in structure.world_edges(q) for letter in ("X", "Z")]
 
 
-def check_syndrome_equivalence(diag: Diagram, seed: int,
+def check_syndrome_equivalence(program: oracle.Program, dets: list[Web], seed: int,
                                exhaustive: bool, samples: int) -> CheckResult:
-    dets = webs.detectors(diag)
-    candidates = _world_line_errors(diag)
+    diag = program.diagram
+    candidates = _world_line_errors(program.structure)
+    stub_sets = [w.stub_set() for w in dets]
     rng = random.Random(seed)
     if exhaustive:
         error_sets = [[c] for c in candidates]
@@ -187,8 +164,8 @@ def check_syndrome_equivalence(diag: Diagram, seed: int,
     for items in error_sets:
         err = PauliErrorSet.of(diag, items)
         predicted = webs.syndrome(dets, err)
-        rec = oracle.run(diag, err, seed=seed)
-        actual = np.array([stub_product(rec, w.stub_set()) for w in dets],
+        rec = oracle.run(program, err, seed=seed)
+        actual = np.array([stub_product(rec, stub_set) for stub_set in stub_sets],
                           dtype=np.uint8)
         if not np.array_equal(predicted, actual):
             mismatches += 1
@@ -232,20 +209,22 @@ def check_footnote5(seed: int = 0, shots: int = 1000) -> CheckResult:
 def run_suite(distance: int, scheme: str, rounds: int, *, seed: int = 0,
               shots: int = 200, exhaustive_errors: bool = False,
               samples: int = 0, footnote5: bool = False) -> list[CheckResult]:
-    layout = build_layout(distance)
-    diag = build_diagram(CircuitSpec(layout, _pattern_for(layout, scheme), rounds))
+    layout, diag, logical = scheme_circuit(distance, scheme, rounds)
+    program = oracle.lower(diag)
+    space = webs.web_space(diag)
+    dets = webs.detectors(diag)
     results = [
         check_builder_valid(diag),
-        check_web_space(diag),
-        check_linearity(diag, seed=seed),
-        check_detectors(diag, seed, shots),
-        check_correlator(diag, layout, scheme, seed, shots),
+        check_web_space(diag, space),
+        check_linearity(diag, space, seed=seed),
+        check_detectors(program, dets, seed, shots),
+        check_correlator(program, layout, scheme, logical, seed, shots),
     ]
     if scheme == "inject-y":
         results.append(check_forbidden_termination(diag, layout))
     if exhaustive_errors or samples:
         results.append(check_syndrome_equivalence(
-            diag, seed, exhaustive=exhaustive_errors, samples=samples))
+            program, dets, seed, exhaustive=exhaustive_errors, samples=samples))
     if footnote5:
         results.append(check_footnote5(seed))
     return results

@@ -29,9 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import gf2
-from .diagram import Color, Diagram, DiagramError, Kind, Node, validate
-
-_BOUNDARY_KINDS = (Kind.BOUNDARY_IN, Kind.BOUNDARY_OUT)
+from .diagram import Color, Diagram, DiagramError, Kind, validate
 
 
 class Highlight(Enum):
@@ -64,21 +62,11 @@ def _own_offset(color: Color) -> int:
 
 def stub_edges(d: Diagram) -> list[tuple[str, str]]:
     """Edges attached to measurement stubs, in canonical edge order."""
-    out = [e for e in d.edges
-           if d.node(e[0]).kind is Kind.MEASURE_OUT or d.node(e[1]).kind is Kind.MEASURE_OUT]
-    return out
+    return [leg.edge for leg in d.stub_legs]
 
 
 def boundary_leg_edges(d: Diagram) -> list[tuple[str, str]]:
-    return [e for e in d.edges
-            if d.node(e[0]).kind in _BOUNDARY_KINDS or d.node(e[1]).kind in _BOUNDARY_KINDS]
-
-
-def _stub_parts(d: Diagram, edge: tuple[str, str]) -> tuple[Node, Node]:
-    a, b = d.node(edge[0]), d.node(edge[1])
-    if a.kind is Kind.MEASURE_OUT:
-        return a, b
-    return b, a
+    return [leg.edge for leg in d.boundary_legs]
 
 
 class Web:
@@ -141,23 +129,17 @@ class Web:
     def boundary_restriction(self) -> dict[str, Highlight]:
         """Nonzero highlights on open boundary legs, keyed by leg node id."""
         out: dict[str, Highlight] = {}
-        for edge in boundary_leg_edges(self.diagram):
-            hl = self.highlight(edge)
-            if hl is Highlight.NONE:
-                continue
-            a, b = self.diagram.node(edge[0]), self.diagram.node(edge[1])
-            leg = a if a.kind in _BOUNDARY_KINDS else b
-            out[leg.id] = hl
+        for leg in self.diagram.boundary_legs:
+            hl = Highlight.from_bits(self.bits[2 * leg.index], self.bits[2 * leg.index + 1])
+            if hl is not Highlight.NONE:
+                out[leg.outer.id] = hl
         return out
 
     def stub_set(self) -> frozenset[str]:
         """check_ids of measurement stubs this web highlights."""
-        out = set()
-        for edge in stub_edges(self.diagram):
-            if self.highlight(edge) is not Highlight.NONE:
-                stub, _ = _stub_parts(self.diagram, edge)
-                out.add(stub.check_id)
-        return frozenset(out)
+        legs = self.diagram.stub_legs
+        pairs = self.bits.reshape(-1, 2)[[leg.index for leg in legs]]
+        return frozenset(legs[i].outer.check_id for i in np.flatnonzero(pairs.any(axis=1)))
 
     @property
     def is_zero(self) -> bool:
@@ -292,9 +274,7 @@ def _leg_edge(d: Diagram, leg_id: str) -> tuple[str, str]:
 
 def _stub_priority(d: Diagram) -> list[int]:
     """Variable order that prefers zeroing stub bits, then everything else."""
-    stub_vars: list[int] = []
-    for e in stub_edges(d):
-        stub_vars.extend((x_var(d, e), z_var(d, e)))
+    stub_vars = [2 * leg.index + offset for leg in d.stub_legs for offset in (0, 1)]
     stub_set = set(stub_vars)
     rest = [v for v in range(2 * len(d.edges)) if v not in stub_set]
     return stub_vars + rest
@@ -309,14 +289,13 @@ def _stub_basis_rows(d: Diagram, n_vars: int) -> tuple[list[np.ndarray], list[st
     """
     rows: list[np.ndarray] = []
     labels: list[str] = []
-    for e in stub_edges(d):
-        stub, ancilla = _stub_parts(d, e)
-        if ancilla.kind is not Kind.SPIDER:
+    for leg in d.stub_legs:
+        if leg.inner.kind is not Kind.SPIDER:
             continue
         row = np.zeros(n_vars, dtype=np.uint8)
-        row[2 * d.edge_index(*e) + _own_offset(ancilla.color)] = 1
+        row[2 * leg.index + _own_offset(leg.inner.color)] = 1
         rows.append(row)
-        labels.append(stub.id)
+        labels.append(leg.outer.id)
     return rows, labels
 
 
@@ -374,10 +353,10 @@ def detectors(d: Diagram) -> list[Web]:
     system = spider_constraints(d)
     n_vars = system.matrix.shape[1]
     rows = [system.matrix]
-    for e in boundary_leg_edges(d):
+    for leg in d.boundary_legs:
         for offset in (0, 1):
             row = np.zeros(n_vars, dtype=np.uint8)
-            row[2 * d.edge_index(*e) + offset] = 1
+            row[2 * leg.index + offset] = 1
             rows.append(row[None, :])
     stub_rows, _ = _stub_basis_rows(d, n_vars)
     if stub_rows:
@@ -413,7 +392,7 @@ class PauliErrorSet:
     @classmethod
     def of(cls, d: Diagram, items: Iterable[tuple[tuple[str, str], str]]) -> "PauliErrorSet":
         normalized = []
-        stub_set = set(stub_edges(d))
+        stub_set = {leg.edge for leg in d.stub_legs}
         for edge, letter in items:
             if letter not in ("X", "Z", "Y"):
                 raise ValueError(f"invalid error letter {letter!r}")
@@ -441,14 +420,9 @@ def syndrome(ws: Sequence[Web], err: PauliErrorSet) -> np.ndarray:
     """
     bits = np.zeros(len(ws), dtype=np.uint8)
     for i, w in enumerate(ws):
-        d = w.diagram
-        stub_set = set(stub_edges(d))
         total = 0
-        for edge, letter in err.insertions:
-            if not d.has_edge(*edge):
-                raise ValueError(f"error edge {edge!r} missing from web's diagram")
-            if d.edge_key(*edge) in stub_set:
-                raise ValueError("errors cannot sit on stub edges")
+        # checked against each web's own diagram: the errors may name foreign edges
+        for edge, letter in PauliErrorSet.of(w.diagram, err.insertions).insertions:
             x, z = w.x_bit(edge), w.z_bit(edge)
             if letter == "X":
                 total ^= z

@@ -1,25 +1,11 @@
 import pytest
 
-from zxwebs.surface import (
-    CircuitSpec,
-    build_diagram,
-    build_layout,
-    injection_pattern,
-    memory_pattern,
-)
+from zxwebs.surface import scheme_circuit
 
 
 def make_diagram(d: int, scheme: str, rounds: int = 1):
-    layout = build_layout(d)
-    if scheme == "inject-y":
-        pattern = injection_pattern(layout)
-    elif scheme == "memory-z":
-        pattern = memory_pattern(layout, "Z")
-    elif scheme == "memory-x":
-        pattern = memory_pattern(layout, "X")
-    else:
-        raise ValueError(scheme)
-    return layout, build_diagram(CircuitSpec(layout, pattern, rounds=rounds))
+    layout, diagram, _ = scheme_circuit(d, scheme, rounds)
+    return layout, diagram
 
 
 @pytest.fixture(scope="session")

@@ -57,8 +57,9 @@ def test_criterion_2_y_correlator_recovery(d, rounds):
     corner = layout.qubit_index(0, d - 1)
     assert web.highlight((f"q{corner}.l0", f"q{corner}.l1")) is Highlight.Y
     stub_set = web.stub_set()
+    program = oracle.lower(diag)
     for shot in range(200):
-        rec = oracle.run(diag, seed=20, shot=shot, measure_logical=y_l)
+        rec = oracle.run(program, seed=20, shot=shot, measure_logical=y_l)
         assert (stub_product(rec, stub_set) + rec.logical_y) % 2 == 0
     report(2, f"d={d} rounds={rounds}: Y_L web recovered; stub-product x Y_L "
               f"outcome = +1 on 200/200 shots")
@@ -89,7 +90,7 @@ def test_criterion_3_forbidden_terminations():
 
 def test_criterion_4_postselection_set():
     layout, diag = make_diagram(5, "inject-y")
-    det = oracle.deterministic_checks(diag)
+    det = oracle.deterministic_checks(oracle.lower(diag))
     assert det == {"r1.X0", "r1.X1", "r1.X3", "r1.X4", "r1.X6", "r1.X9",
                    "r1.Z7", "r1.Z9", "r1.Z10", "r1.Z11"}
     supports = {tuple(layout.plaquette(c.split(".")[1]).support) for c in det}
@@ -99,7 +100,7 @@ def test_criterion_4_postselection_set():
         (13, 14, 18, 19), (17, 18, 22, 23), (21, 22), (23, 24),  # 4 Z-type
     }
     _, diag_z = make_diagram(5, "memory-z")
-    assert oracle.deterministic_checks(diag_z) == {f"r1.Z{k}" for k in range(12)}
+    assert oracle.deterministic_checks(oracle.lower(diag_z)) == {f"r1.Z{k}" for k in range(12)}
     report(4, "post-selection sets exact: 10 plaquettes (6 X + 4 Z) for "
               "injection, all 12 first-round Z checks for memory-Z")
 
@@ -135,7 +136,7 @@ def test_criterion_5_footnote_algebra():
 
 
 def _oracle_flip_vector(diag, dets, err):
-    rec = oracle.run(diag, err, seed=0)
+    rec = oracle.run(oracle.lower(diag), err, seed=0)
     return np.array([stub_product(rec, w.stub_set()) for w in dets], dtype=np.uint8)
 
 
@@ -201,13 +202,14 @@ def test_criterion_7_boundary_ambiguous_error_pair():
 def test_criterion_8_postselection_behavior():
     layout, diag = make_diagram(5, "inject-y")
     _, _, y_l = logical_operators(layout)
-    postselect = sorted(oracle.deterministic_checks(diag))
+    program = oracle.lower(diag)
+    postselect = sorted(oracle.deterministic_checks(program))
     err14 = PauliErrorSet.of(diag, [(("q14.l0", "q14.l1"), "X")])
     err_corner = PauliErrorSet.of(diag, [(("q4.l0", "q4.l1"), "X")])
     for shot in range(100):
-        rec = oracle.run(diag, err14, seed=8, shot=shot, postselect=postselect)
+        rec = oracle.run(program, err14, seed=8, shot=shot, postselect=postselect)
         assert rec.accepted is False
-        rec = oracle.run(diag, err_corner, seed=8, shot=shot,
+        rec = oracle.run(program, err_corner, seed=8, shot=shot,
                          postselect=postselect, measure_logical=y_l)
         assert rec.accepted is True and rec.logical_y == 1
     report(8, "X on qubit 14: acceptance exactly 0; X on the injected corner: "

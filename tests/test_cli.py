@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from zxwebs import cli
+from zxwebs import cli, oracle
+
+from conftest import make_diagram
 
 
 def invoke(capsys, argv):
@@ -155,3 +157,40 @@ def test_out_file_writing(tmp_path, capsys):
     code, out, _ = invoke(capsys, ["layout", "-d", "3", "--out", str(target)])
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["distance"] == 3
+
+
+@pytest.mark.parametrize("mode,expected", [
+    ("figure-set", {f"r1.{c}" for c in ("X0", "X1", "X3", "X4", "X6", "X9",
+                                        "Z7", "Z9", "Z10", "Z11")}),
+    ("all-deterministic", {f"r{k}.{c}" for k in (1, 2)
+                           for c in ("X0", "X1", "X3", "X4", "X6", "X9",
+                                     "Z7", "Z9", "Z10", "Z11")}),
+])
+def test_postselect_modes_two_rounds_d5(mode, expected):
+    args = cli.build_parser().parse_args(
+        ["sample", "-d", "5", "--rounds", "2", "--postselect", mode])
+    config = cli._config_from(args)
+    _, diag = make_diagram(5, "inject-y", rounds=2)
+    selected = cli._postselect_set(oracle.lower(diag), config)
+    assert set(selected) == expected
+    assert len(selected) == (10 if mode == "figure-set" else 20)
+
+
+def test_postselect_rounds_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "-d", "3", "--postselect", "figure-set",
+                  "--postselect-rounds", "all"])
+    assert exc.value.code == 2
+
+
+def test_verify_rejects_negative_samples(capsys):
+    code, out, err = invoke(capsys, ["verify", "-d", "3", "--samples", "-3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "samples" in err
+
+
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "layout.json"
+    code, out, err = invoke(capsys, ["layout", "-d", "3", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(target) in err

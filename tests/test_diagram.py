@@ -129,6 +129,43 @@ def test_parse_errors():
         deserialize(json.dumps(dangling))
 
 
+_SPIDER = {"id": "s", "kind": "spider", "color": "Z", "phase": 1, "pos": [0, 0, 0]}
+_OUT = {"id": "o", "kind": "out", "pos": [0, 0, 1]}
+
+
+def _doc(**fields):
+    doc = {"version": 1, "metadata": {}, "nodes": [_SPIDER, _OUT],
+           "edges": [["s", "o"]]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    _doc(edges=[[["s"], "o"]]),
+    _doc(nodes=5),
+    _doc(edges=None),
+    _doc(nodes=[dict(_SPIDER, id=5), _OUT], edges=[]),
+    _doc(nodes=[dict(_SPIDER, phase=True), _OUT]),
+    _doc(nodes=[dict(_SPIDER, pos=[0, True, 0]), _OUT]),
+    _doc(edges=[["s", "o", 3]]),
+    _doc(version=True),
+], ids=["unhashable-endpoint", "nodes-not-list", "edges-not-list", "int-node-id",
+        "bool-phase", "bool-pos", "int-edge-kind", "bool-version"])
+def test_deserialize_raises_only_parse_errors(text):
+    with pytest.raises(DiagramParseError):
+        deserialize(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    _doc(webs=[]),
+    _doc(webs={"w": ["s--o"]}),
+], ids=["top-level-not-object", "webs-not-object", "web-not-object"])
+def test_read_webs_raises_only_parse_errors(text):
+    with pytest.raises(DiagramParseError):
+        read_webs(text, minimal_y_diagram())
+
+
 def test_edge_kind_survives_round_trip_and_is_flagged():
     spider = Node.spider("s", Color.Z, 0, (0, 0, 0))
     other = Node.spider("t", Color.X, 0, (1, 0, 0))

@@ -73,7 +73,7 @@ def test_remeasuring_every_check_is_idempotent(inj3):
     _, diag = inj3
     tableau = None
     results = {}
-    for i, instr in enumerate(lower(diag)):
+    for i, instr in enumerate(lower(diag).instructions()):
         if isinstance(instr, Prepare):
             tableau = prepare(dict(instr.pattern))
         else:
@@ -151,7 +151,7 @@ def test_canonical_group_invariance():
 
 def test_lower_counts_memory_z_d3():
     _, diag = make_diagram(3, "memory-z")
-    instrs = lower(diag)
+    instrs = lower(diag).instructions()
     assert isinstance(instrs[0], Prepare)
     checks = [i for i in instrs if isinstance(i, MeasureCheck)]
     assert len(checks) == 8
@@ -161,7 +161,7 @@ def test_lower_counts_memory_z_d3():
 
 def test_lower_counts_injection_d5(inj5):
     _, diag = inj5
-    instrs = lower(diag)
+    instrs = lower(diag).instructions()
     checks = [i for i in instrs if isinstance(i, MeasureCheck)]
     assert len(checks) == 24
     stub_ids = {x.check_id for x in diag.nodes if x.check_id}
@@ -174,7 +174,7 @@ def test_lower_counts_injection_d5(inj5):
 def test_lower_places_init_error_right_after_prepare(memz5):
     _, diag = memz5
     err = PauliErrorSet.of(diag, [(("q9.l0", "q9.l1"), "X")])
-    instrs = lower(diag, err)
+    instrs = lower(diag).instructions(err)
     assert isinstance(instrs[0], Prepare)
     assert instrs[1] == ApplyPauli(qubit=9, letter="X")
     assert isinstance(instrs[2], MeasureCheck)
@@ -183,7 +183,7 @@ def test_lower_places_init_error_right_after_prepare(memz5):
 def test_lower_places_mid_circuit_error_between_layers(memz5):
     _, diag = memz5
     err = PauliErrorSet.of(diag, [(("q9.l1", "q9.l2"), "Z")])
-    instrs = lower(diag, err)
+    instrs = lower(diag).instructions(err)
     position = instrs.index(ApplyPauli(qubit=9, letter="Z"))
     before = [i for i in instrs[:position] if isinstance(i, MeasureCheck)]
     assert len(before) == 12 and all("X" in c.check_id for c in before)
@@ -193,7 +193,7 @@ def test_lower_rejects_plaquette_edge_errors(memz5):
     _, diag = memz5
     err = PauliErrorSet.of(diag, [(("a.r1.Z5", "q7.l2"), "X")])
     with pytest.raises(LoweringError, match="world line"):
-        lower(diag, err)
+        lower(diag).instructions(err)
 
 
 def test_lower_rejects_foreign_diagrams():
@@ -222,43 +222,46 @@ def test_run_is_reproducible(inj5):
     from zxwebs.surface import logical_operators
     _, _, y_l = logical_operators(lay)
     kwargs = dict(seed=9, shot=4, postselect=["r1.Z7"], measure_logical=y_l)
-    a = run(diag, **kwargs)
-    b = run(diag, **kwargs)
+    program = lower(diag)
+    a = run(program, **kwargs)
+    b = run(program, **kwargs)
     assert a == b
     assert a.to_json() == b.to_json()
     assert a.accepted is True and a.logical_y == 0
-    c = run(diag, seed=10, shot=4, postselect=["r1.Z7"], measure_logical=y_l)
+    c = run(program, seed=10, shot=4, postselect=["r1.Z7"], measure_logical=y_l)
     assert c.accepted is True  # deterministic checks do not depend on the seed
 
 
 def test_run_flags_and_validation(inj5):
     _, diag = inj5
-    rec = run(diag, seed=0)
+    program = lower(diag)
+    rec = run(program, seed=0)
     assert rec.accepted is None and rec.logical_y is None
     assert set(rec.forced) == set(rec.outcomes)
     det = {c for c, f in rec.forced.items() if f}
     assert det  # first-round deterministic checks exist
     with pytest.raises(ValueError, match="unknown check"):
-        run(diag, seed=0, postselect=["r9.X0"])
+        run(program, seed=0, postselect=["r9.X0"])
 
 
 def test_run_forced_outcomes_condition_random_checks(inj5):
     _, diag = inj5
-    rec0 = run(diag, seed=1, forced_outcomes={"r1.X2": 0})
-    rec1 = run(diag, seed=1, forced_outcomes={"r1.X2": 1})
+    program = lower(diag)
+    rec0 = run(program, seed=1, forced_outcomes={"r1.X2": 0})
+    rec1 = run(program, seed=1, forced_outcomes={"r1.X2": 1})
     assert rec0.outcomes["r1.X2"] == 0
     assert rec1.outcomes["r1.X2"] == 1
 
 
 def test_deterministic_checks_memory_z(memz5):
     _, diag = memz5
-    det = deterministic_checks(diag)
+    det = deterministic_checks(lower(diag))
     assert det == {f"r1.Z{k}" for k in range(12)}
 
 
 def test_deterministic_checks_injection_d5(inj5):
     _, diag = inj5
-    det = deterministic_checks(diag)
+    det = deterministic_checks(lower(diag))
     assert det == {"r1.X0", "r1.X1", "r1.X3", "r1.X4", "r1.X6", "r1.X9",
                    "r1.Z7", "r1.Z9", "r1.Z10", "r1.Z11"}
 
@@ -275,18 +278,18 @@ def test_deterministic_checks_match_region_predicate_d3(inj3):
     for p in lay.z_plaquettes:
         if set(p.support) <= zero:
             expected.add(f"r1.{p.id}")
-    assert deterministic_checks(diag) == expected
+    assert deterministic_checks(lower(diag)) == expected
 
 
 def test_deterministic_checks_two_rounds():
     _, diag = make_diagram(3, "memory-z", rounds=2)
-    det = deterministic_checks(diag)
+    det = deterministic_checks(lower(diag))
     # round-2 X checks only echo the round-1 coin flips, so they are excluded
     assert det == {f"r{k}.Z{i}" for k in (1, 2) for i in range(4)}
 
 
 def test_shot_record_json_is_stable(inj3):
     _, diag = inj3
-    line = run(diag, seed=3).to_json()
-    assert line == run(diag, seed=3).to_json()
+    line = run(lower(diag), seed=3).to_json()
+    assert line == run(lower(diag), seed=3).to_json()
     assert line.startswith('{"outcomes":')
