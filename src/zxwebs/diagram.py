@@ -22,7 +22,8 @@ Document format (UTF-8 JSON), field names are fixed:
 
 Nodes and edges are canonically sorted, so byte equality of two canonical
 documents implies diagram equality. An optional third edge entry holds an
-edge kind; anything other than "plain" is rejected by validation.
+edge kind; serialize() writes it for every non-plain edge, and anything
+other than "plain" is rejected by validation.
 """
 
 from __future__ import annotations
@@ -174,6 +175,7 @@ class Diagram:
         self.metadata: dict[str, str] = dict(metadata or {})
         self._edge_kinds: dict[tuple[str, str], str] = {
             self.edge_key(a, b): kind for (a, b), kind in (edge_kinds or {}).items()
+            if kind != "plain"
         }
         self._adjacency: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for a, b in self.edges:
@@ -334,7 +336,8 @@ def serialize(d: Diagram, webs: Mapping[str, Mapping[str, str]] | None = None) -
         "version": DOCUMENT_VERSION,
         "metadata": {k: d.metadata[k] for k in sorted(d.metadata)},
         "nodes": [_node_to_json(n) for n in d.nodes],
-        "edges": [list(e) for e in d.edges],
+        "edges": [[a, b] if (kind := d.edge_kind(a, b)) == "plain" else [a, b, kind]
+                  for a, b in d.edges],
     }
     if webs:
         doc["webs"] = {

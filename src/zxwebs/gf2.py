@@ -6,6 +6,9 @@ import numpy as np
 
 _WORD = 64
 _ONE = np.uint64(1)
+# Column c is bit c % 64 of word c // 64. Little-endian words viewed as bytes
+# put it at bit c % 8 of byte c // 8: numpy's "little" bit order.
+_WORDS = np.dtype("<u8")
 
 
 class BitMatrix:
@@ -19,21 +22,14 @@ class BitMatrix:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self._words = max(1, (n_cols + _WORD - 1) // _WORD)
-        self.data = np.zeros((n_rows, self._words), dtype=np.uint64)
+        self.data = np.zeros((n_rows, self._words), dtype=_WORDS)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
         dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
         m = cls(dense.shape[0], dense.shape[1])
-        for c in range(dense.shape[1]):
-            w, b = divmod(c, _WORD)
-            m.data[:, w] |= dense[:, c].astype(np.uint64) << np.uint64(b)
+        _pack(m.data, dense)
         return m
-
-    def copy(self) -> "BitMatrix":
-        out = BitMatrix(self.n_rows, self.n_cols)
-        out.data = self.data.copy()
-        return out
 
     def get(self, r: int, c: int) -> int:
         w, b = divmod(c, _WORD)
@@ -56,11 +52,24 @@ class BitMatrix:
             self.data[[i, j]] = self.data[[j, i]]
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for c in range(self.n_cols):
-            w, b = divmod(c, _WORD)
-            out[:, c] = (self.data[:, w] >> np.uint64(b)) & _ONE
-        return out
+        return _unpack(self.data, self.n_cols)
+
+
+def _pack(words: np.ndarray, dense: np.ndarray) -> None:
+    """Write the 0/1 columns of ``dense`` into the leading bits of ``words``."""
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+
+
+def _unpack(words: np.ndarray, n_cols: int) -> np.ndarray:
+    """Rows of packed words as a dense uint8 matrix with ``n_cols`` columns."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n_cols, bitorder="little")
+
+
+def _set_bits(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit (rows[k], cols[k]) for every k; each row may appear once."""
+    cols = np.asarray(cols)
+    words[rows, cols // _WORD] |= _ONE << (cols % _WORD).astype(np.uint64)
 
 
 def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
@@ -104,15 +113,13 @@ def nullspace(dense: np.ndarray) -> np.ndarray:
     n_cols = dense.shape[1]
     m = BitMatrix.from_dense(dense)
     pivot_cols = rref(m)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
+    is_free = np.ones(n_cols, dtype=bool)
+    is_free[pivot_cols] = False
+    free_cols = np.flatnonzero(is_free)
     basis = np.zeros((len(free_cols), n_cols), dtype=np.uint8)
-    red = m.to_dense()
-    for k, fc in enumerate(free_cols):
-        basis[k, fc] = 1
-        for row_idx, pc in enumerate(pivot_cols):
-            if red[row_idx, fc]:
-                basis[k, pc] = 1
+    basis[np.arange(len(free_cols)), free_cols] = 1
+    # pivot row k holds the free-column coefficients of pivot variable k
+    basis[:, pivot_cols] = _unpack(m.data[: len(pivot_cols)], n_cols)[:, free_cols].T
     return basis
 
 
@@ -130,20 +137,20 @@ def solve_affine(
     n_rows, n_cols = dense.shape
     # augmented block [A | b | I]: the identity tail records row history
     aug = BitMatrix(n_rows, n_cols + 1 + n_rows)
-    packed = BitMatrix.from_dense(dense)
-    aug.data[:, : packed.data.shape[1]] = packed.data
-    for r in range(n_rows):
-        if rhs[r]:
-            aug.set(r, n_cols, 1)
-        aug.set(r, n_cols + 1 + r, 1)
+    _pack(aug.data, dense)
+    rows = np.arange(n_rows)
+    _set_bits(aug.data, np.flatnonzero(rhs), n_cols)
+    _set_bits(aug.data, rows, n_cols + 1 + rows)
     pivot_cols = rref(aug, col_order=list(range(n_cols)))
-    for r in range(len(pivot_cols), n_rows):
-        if aug.get(r, n_cols):
-            witness = [i for i in range(n_rows) if aug.get(r, n_cols + 1 + i)]
-            return None, witness
+    n_pivots = len(pivot_cols)
+    rhs_bits = aug.column_bits(n_cols)
+    inconsistent = np.flatnonzero(rhs_bits[n_pivots:])
+    if inconsistent.size:
+        r = n_pivots + int(inconsistent[0])
+        history = _unpack(aug.data[r : r + 1], aug.n_cols)[0, n_cols + 1 :]
+        return None, np.flatnonzero(history).tolist()
     x = np.zeros(n_cols, dtype=np.uint8)
-    for row_idx, pc in enumerate(pivot_cols):
-        x[pc] = aug.get(row_idx, n_cols)
+    x[pivot_cols] = rhs_bits[:n_pivots]
     return x, []
 
 

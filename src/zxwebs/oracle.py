@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gf2
 from .diagram import Color, Diagram, Kind, Node
-from .pauli import PauliOperator
+from .pauli import PauliOperator, phase_exponent
 from .surface import InitPattern, InitState
 from .webs import PauliErrorSet
 
@@ -61,34 +61,6 @@ class MeasureResult:
     aux: int  # bitmask of random events the outcome depends on (0 = none)
 
 
-def _word_product(xa: np.ndarray, za: np.ndarray, xb: np.ndarray, zb: np.ndarray) -> int:
-    """i-exponent of P(xa,za) * P(xb,zb), summed over qubits mod 4."""
-    a = xa.astype(np.int16)
-    b = za.astype(np.int16)
-    c = xb.astype(np.int16)
-    e = zb.astype(np.int16)
-    total = int(np.sum(a * b + c * e + 2 * b * c - (a ^ c) * (b ^ e)))
-    return total % 4
-
-
-def _pauli_vectors(op: PauliOperator) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dense x and z bit vectors of a Pauli, and its sign bit."""
-    x = np.zeros(op.n, dtype=np.uint8)
-    z = np.zeros(op.n, dtype=np.uint8)
-    x[list(op.x_bits())] = 1
-    z[list(op.z_bits())] = 1
-    return x, z, 0 if op.sign == 1 else 1
-
-
-_LETTER_OF_BITS = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-
-
-def _pauli_operator(x: np.ndarray, z: np.ndarray, sign_bit: int) -> PauliOperator:
-    bits = zip(x.tolist(), z.tolist())
-    mapping = {q: _LETTER_OF_BITS[b] for q, b in enumerate(bits) if b in _LETTER_OF_BITS}
-    return PauliOperator.from_dict(len(x), mapping, -1 if sign_bit else 1)
-
-
 class Tableau:
     """Stabilizer/destabilizer tableau with native multi-qubit Pauli measurement."""
 
@@ -110,7 +82,7 @@ class Tableau:
     def _op_vectors(self, op: PauliOperator) -> tuple[np.ndarray, np.ndarray, int]:
         if op.n != self.n:
             raise ValueError(f"operator acts on {op.n} qubits, tableau has {self.n}")
-        return _pauli_vectors(op)
+        return op.vectors
 
     def _anticommute_mask(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         overlap = self.xs.astype(np.int16) @ z.astype(np.int16) \
@@ -119,7 +91,7 @@ class Tableau:
 
     def _rowmult(self, h: int, i: int) -> None:
         """row_h := row_i * row_h, with exact sign tracking."""
-        exponent = _word_product(self.xs[i], self.zs[i], self.xs[h], self.zs[h])
+        exponent = phase_exponent(self.xs[i], self.zs[i], self.xs[h], self.zs[h])
         total = (2 * int(self.signs[i]) + 2 * int(self.signs[h]) + exponent) % 4
         if total % 2:
             raise AssertionError("row product is anti-Hermitian; tableau corrupted")
@@ -176,7 +148,7 @@ class Tableau:
             if anti[j]:
                 s = self.n + j
                 phase = (phase + 2 * int(self.signs[s])
-                         + _word_product(sx, sz, self.xs[s], self.zs[s])) % 4
+                         + phase_exponent(sx, sz, self.xs[s], self.zs[s])) % 4
                 sx ^= self.xs[s]
                 sz ^= self.zs[s]
                 aux_mask ^= self.aux[s]
@@ -186,7 +158,7 @@ class Tableau:
         return MeasureResult(outcome=outcome, deterministic=True, aux=aux_mask)
 
     def row_operator(self, row: int) -> PauliOperator:
-        return _pauli_operator(self.xs[row], self.zs[row], self.signs[row])
+        return PauliOperator.from_bits(self.xs[row], self.zs[row], self.signs[row])
 
     def stabilizers(self) -> list[PauliOperator]:
         return [self.row_operator(self.n + i) for i in range(self.n)]
@@ -241,10 +213,10 @@ def canonical_group(n: int, generators: Iterable[PauliOperator]) -> tuple[PauliO
     for op in generators:
         if op.n != n:
             raise ValueError("generator qubit count mismatch")
-        rows.append(_pauli_vectors(op))
+        rows.append(op.vectors)
 
     def mul(a, b):
-        exponent = (2 * a[2] + 2 * b[2] + _word_product(a[0], a[1], b[0], b[1])) % 4
+        exponent = (2 * a[2] + 2 * b[2] + phase_exponent(a[0], a[1], b[0], b[1])) % 4
         if exponent % 2:
             raise ValueError("generators do not commute")
         return (a[0] ^ b[0], a[1] ^ b[1], exponent // 2)
@@ -267,7 +239,7 @@ def canonical_group(n: int, generators: Iterable[PauliOperator]) -> tuple[PauliO
             if sign:
                 raise ValueError("-identity generated; inconsistent generator set")
             continue
-        out.append(_pauli_operator(x, z, sign))
+        out.append(PauliOperator.from_bits(x, z, sign))
     return tuple(out)
 
 

@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 _LETTERS = ("X", "Y", "Z")
-_XZ_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+# letter of each 2-bit code x + 2 z
+_LETTER_OF_CODE = ("I", "X", "Z", "Y")
 
 
-def phase_exponent(xa: int, za: int, xb: int, zb: int) -> int:
-    """Power of i picked up by P(xa,za) * P(xb,zb) on one qubit.
+def phase_exponent(xa, za, xb, zb) -> int:
+    """Power of i picked up by the word product P(xa,za) * P(xb,zb).
 
-    Uses the Hermitian convention P(x,z) = i^{xz} X^x Z^z, so e.g.
-    X*Y = iZ gives 1 and Y*X = -iZ gives 3.
+    Uses the Hermitian convention P(x,z) = i^{xz} X^x Z^z, so on one qubit
+    X*Y = iZ gives 1 and Y*X = -iZ gives 3. The arguments are 0/1 bits or
+    whole rows of them; a word's exponent is the sum of its qubits' mod 4
+    (Aaronson and Gottesman, arXiv:quant-ph/0406196).
     """
-    return (xa * za + xb * zb + 2 * za * xb - (xa ^ xb) * (za ^ zb)) % 4
+    count = np.count_nonzero
+    return int(count(xa & za) + count(xb & zb) + 2 * count(za & xb)
+               - count((xa ^ xb) & (za ^ zb))) % 4
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,14 @@ class PauliOperator:
         return cls(n, tuple(mapping.items()), sign)
 
     @classmethod
+    def from_bits(cls, x, z, sign_bit: int = 0) -> "PauliOperator":
+        """The operator with dense bit vectors x, z and sign (-1)^sign_bit."""
+        codes = (np.asarray(x, dtype=np.uint8) & 1) | (np.asarray(z, dtype=np.uint8) & 1) << 1
+        support = np.flatnonzero(codes)
+        letters = [_LETTER_OF_CODE[c] for c in codes[support].tolist()]
+        return cls(len(codes), tuple(zip(support.tolist(), letters)), -1 if sign_bit & 1 else 1)
+
+    @classmethod
     def single(cls, n: int, qubit: int, letter: str, sign: int = 1) -> "PauliOperator":
         return cls(n, ((qubit, letter),), sign)
 
@@ -66,6 +81,16 @@ class PauliOperator:
                 return letter
         return "I"
 
+    @cached_property
+    def vectors(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Read-only dense x and z bit vectors, and the sign bit."""
+        codes = np.zeros(self.n, dtype=np.uint8)
+        for q, letter in self.paulis:
+            codes[q] = _LETTER_OF_CODE.index(letter)
+        x, z = codes & 1, codes >> 1
+        x.flags.writeable = z.flags.writeable = False
+        return x, z, 0 if self.sign == 1 else 1
+
     def x_bits(self) -> frozenset[int]:
         return frozenset(q for q, letter in self.paulis if letter in ("X", "Y"))
 
@@ -81,22 +106,12 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError("operators act on different qubit counts")
-        exponent = 0 if self.sign == 1 else 2
-        exponent += 0 if other.sign == 1 else 2
-        word: dict[int, str] = dict(self.paulis)
-        for q, letter in other.paulis:
-            xa, za = _XZ_BITS[word.get(q, "I")]
-            xb, zb = _XZ_BITS[letter]
-            exponent += phase_exponent(xa, za, xb, zb)
-            combined = _FROM_BITS[(xa ^ xb, za ^ zb)]
-            if combined == "I":
-                word.pop(q, None)
-            else:
-                word[q] = combined
-        exponent %= 4
+        xa, za, sa = self.vectors
+        xb, zb, sb = other.vectors
+        exponent = (2 * (sa + sb) + phase_exponent(xa, za, xb, zb)) % 4
         if exponent % 2:
             raise ValueError("product is anti-Hermitian (phase ±i); reorder factors")
-        return PauliOperator(self.n, tuple(word.items()), 1 if exponent == 0 else -1)
+        return PauliOperator.from_bits(xa ^ xb, za ^ zb, exponent // 2)
 
     def negated(self) -> "PauliOperator":
         return PauliOperator(self.n, self.paulis, -self.sign)

@@ -70,9 +70,9 @@ def check_web_space(diag: Diagram, space: WebSpace) -> CheckResult:
         f"{bad} invalid basis webs; terminations {'ok' if terminations_ok else 'BROKEN'}")
 
 
-def check_linearity(diag: Diagram, space: WebSpace, combos: int = 200,
-                    seed: int = 0) -> CheckResult:
+def check_linearity(diag: Diagram, space: WebSpace, seed: int = 0) -> CheckResult:
     rng = random.Random(seed)
+    combos = 200
     bad = 0
     for _ in range(combos):
         acc = Web.zero(diag)
@@ -180,6 +180,12 @@ def check_footnote5(seed: int = 0, shots: int = 1000) -> CheckResult:
     pattern = {0: InitState.PLUS, 1: InitState.PLUS, 2: InitState.PLUS,
                3: InitState.ZERO}
     zzzz = PauliOperator.from_dict(4, {q: "Z" for q in range(4)})
+    rest = [PauliOperator.from_dict(4, {0: "X", 1: "X"}),
+            PauliOperator.from_dict(4, {0: "X", 2: "X"}),
+            PauliOperator.from_dict(4, {3: "Z"})]
+    # expected post-measurement group, indexed by the outcome bit
+    expected = [oracle.canonical_group(4, [zzzz, *rest]),
+                oracle.canonical_group(4, [zzzz.negated(), *rest])]
     counts = [0, 0]
     group_ok = True
     for s in range(shots):
@@ -188,13 +194,7 @@ def check_footnote5(seed: int = 0, shots: int = 1000) -> CheckResult:
         if res.deterministic:
             return CheckResult("footnote5", False, "measurement came out deterministic")
         counts[res.outcome] += 1
-        expected = oracle.canonical_group(4, [
-            zzzz if res.outcome == 0 else zzzz.negated(),
-            PauliOperator.from_dict(4, {0: "X", 1: "X"}),
-            PauliOperator.from_dict(4, {0: "X", 2: "X"}),
-            PauliOperator.from_dict(4, {3: "Z"}),
-        ])
-        if oracle.canonical_stabilizer_group(t) != expected:
+        if oracle.canonical_stabilizer_group(t) != expected[res.outcome]:
             group_ok = False
     # chi-square with 1 dof against a fair coin
     expected_count = shots / 2

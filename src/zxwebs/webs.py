@@ -40,11 +40,16 @@ class Highlight(Enum):
 
     @property
     def bits(self) -> tuple[int, int]:
-        return {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}[self.value]
+        code = _HIGHLIGHT_OF_CODE.index(self)
+        return code & 1, code >> 1
 
     @classmethod
     def from_bits(cls, x: int, z: int) -> "Highlight":
-        return {(0, 0): cls.NONE, (1, 0): cls.X, (0, 1): cls.Z, (1, 1): cls.Y}[(x & 1, z & 1)]
+        return _HIGHLIGHT_OF_CODE[(x & 1) | (z & 1) << 1]
+
+
+# highlight of each 2-bit edge code x + 2 z
+_HIGHLIGHT_OF_CODE = (Highlight.NONE, Highlight.X, Highlight.Z, Highlight.Y)
 
 
 def x_var(d: Diagram, edge: tuple[str, str]) -> int:
@@ -63,10 +68,6 @@ def _own_offset(color: Color) -> int:
 def stub_edges(d: Diagram) -> list[tuple[str, str]]:
     """Edges attached to measurement stubs, in canonical edge order."""
     return [leg.edge for leg in d.stub_legs]
-
-
-def boundary_leg_edges(d: Diagram) -> list[tuple[str, str]]:
-    return [leg.edge for leg in d.boundary_legs]
 
 
 class Web:
@@ -112,14 +113,16 @@ class Web:
     def highlight(self, edge: tuple[str, str]) -> Highlight:
         return Highlight.from_bits(self.x_bit(edge), self.z_bit(edge))
 
+    def _lit(self, index=slice(None)):
+        """(position, highlight) of each highlighted edge among ``index``, in order."""
+        codes = (self.bits[0::2] | self.bits[1::2] << 1)[index]
+        lit = np.flatnonzero(codes)
+        return zip(lit.tolist(), [_HIGHLIGHT_OF_CODE[c] for c in codes[lit].tolist()])
+
     def highlight_map(self) -> dict[tuple[str, str], Highlight]:
         """Nonzero highlights keyed by canonical edge pair."""
-        out: dict[tuple[str, str], Highlight] = {}
-        for i, edge in enumerate(self.diagram.edges):
-            hl = Highlight.from_bits(self.bits[2 * i], self.bits[2 * i + 1])
-            if hl is not Highlight.NONE:
-                out[edge] = hl
-        return out
+        edges = self.diagram.edges
+        return {edges[i]: hl for i, hl in self._lit()}
 
     def to_highlights(self) -> dict[str, str]:
         """Document form: edge name -> highlight letter (nonzero only)."""
@@ -128,12 +131,8 @@ class Web:
 
     def boundary_restriction(self) -> dict[str, Highlight]:
         """Nonzero highlights on open boundary legs, keyed by leg node id."""
-        out: dict[str, Highlight] = {}
-        for leg in self.diagram.boundary_legs:
-            hl = Highlight.from_bits(self.bits[2 * leg.index], self.bits[2 * leg.index + 1])
-            if hl is not Highlight.NONE:
-                out[leg.outer.id] = hl
-        return out
+        legs = self.diagram.boundary_legs
+        return {legs[i].outer.id: hl for i, hl in self._lit([leg.index for leg in legs])}
 
     def stub_set(self) -> frozenset[str]:
         """check_ids of measurement stubs this web highlights."""
@@ -299,14 +298,13 @@ def _stub_basis_rows(d: Diagram, n_vars: int) -> tuple[list[np.ndarray], list[st
     return rows, labels
 
 
-def solve(d: Diagram, bc: BoundaryCondition,
-          restrict_stub_basis: bool = True) -> Web | Infeasible:
+def solve(d: Diagram, bc: BoundaryCondition) -> Web | Infeasible:
     """Any web matching ``bc`` on the pinned legs, canonicalized, or a witness.
 
     The returned web is the lexicographically minimal member of its coset,
     with stub-edge bits given top priority, so stub sets come out as small
-    as the boundary condition allows. With ``restrict_stub_basis`` (the
-    default) stub edges may only carry their measurement-basis color.
+    as the boundary condition allows. Stub edges may only carry their
+    measurement-basis color.
     """
     system = spider_constraints(d)
     n_vars = system.matrix.shape[1]
@@ -322,11 +320,10 @@ def solve(d: Diagram, bc: BoundaryCondition,
             extra_rows.append(row)
             extra_rhs.append(value)
             labels.append(("leg", leg_id))
-    if restrict_stub_basis:
-        stub_rows, stub_labels = _stub_basis_rows(d, n_vars)
-        extra_rows.extend(stub_rows)
-        extra_rhs.extend([0] * len(stub_rows))
-        labels.extend(("leg", sid) for sid in stub_labels)
+    stub_rows, stub_labels = _stub_basis_rows(d, n_vars)
+    extra_rows.extend(stub_rows)
+    extra_rhs.extend([0] * len(stub_rows))
+    labels.extend(("leg", sid) for sid in stub_labels)
     if extra_rows:
         matrix = np.vstack([system.matrix, np.array(extra_rows, dtype=np.uint8)])
     else:
@@ -413,22 +410,21 @@ class PauliErrorSet:
 
 
 def syndrome(ws: Sequence[Web], err: PauliErrorSet) -> np.ndarray:
-    """Web-by-web flip parity of an error set (anticommutation overlap).
+    """Web-by-web flip parity of an error set: the symplectic overlap.
 
-    An X insertion flips webs whose edge carries z, a Z insertion those
-    carrying x, and a Y insertion those carrying exactly one of the two.
+    An insertion with bits (x, z) flips a web carrying (x', z') on its edge
+    iff x z' + z x' is odd: X flips webs carrying z, Z those carrying x, and
+    Y (= X + Z) those carrying exactly one of the two.
     """
+    flips: dict[int, np.ndarray] = {}
     bits = np.zeros(len(ws), dtype=np.uint8)
     for i, w in enumerate(ws):
-        total = 0
-        # checked against each web's own diagram: the errors may name foreign edges
-        for edge, letter in PauliErrorSet.of(w.diagram, err.insertions).insertions:
-            x, z = w.x_bit(edge), w.z_bit(edge)
-            if letter == "X":
-                total ^= z
-            elif letter == "Z":
-                total ^= x
-            else:  # Y
-                total ^= x ^ z
-        bits[i] = total
+        d = w.diagram
+        if id(d) not in flips:
+            # checked against each web's own diagram: the errors may name foreign edges
+            error_bits = np.zeros((len(d.edges), 2), dtype=int)
+            for edge, letter in PauliErrorSet.of(d, err.insertions).insertions:
+                error_bits[d.edge_index(*edge)] ^= Highlight(letter).bits
+            flips[id(d)] = error_bits[:, ::-1].ravel().astype(np.uint8)
+        bits[i] = np.count_nonzero(w.bits & flips[id(d)]) & 1
     return bits

@@ -178,6 +178,16 @@ def test_edge_kind_survives_round_trip_and_is_flagged():
     d = deserialize(json.dumps(doc))
     assert d.edge_kind("s", "t") == "hadamard"
     assert any(v.code == "edge-kind" for v in validate(d))
+    # serialize keeps the kind, so byte equality still implies diagram equality
+    text = serialize(d)
+    assert json.loads(text)["edges"] == [["s", "t", "hadamard"]]
+    again = deserialize(text)
+    assert again == d and serialize(again) == text
+    assert any(v.code == "edge-kind" for v in validate(again))
+    plain_twin = Diagram([spider, other], [("s", "t")])
+    assert plain_twin != d and serialize(plain_twin) != text
+    assert json.loads(serialize(plain_twin))["edges"] == [["s", "t"]]
+    assert Diagram([spider, other], [("s", "t")], edge_kinds={("t", "s"): "plain"}) == plain_twin
 
 
 def test_injection_document_matches_figure_one(inj5):

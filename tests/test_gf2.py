@@ -109,3 +109,113 @@ def test_lexmin_matches_brute_force():
         assert tuple(got[c] for c in priority) == min(coset)
         # the result stays inside the coset
         assert gf2.rank(np.vstack([basis, got ^ x0])) == gf2.rank(basis)
+
+
+# -- loop references: the per-bit implementations the packed ones replaced --
+
+
+def loop_from_dense(dense):
+    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
+    m = gf2.BitMatrix(dense.shape[0], dense.shape[1])
+    for c in range(dense.shape[1]):
+        w, b = divmod(c, 64)
+        m.data[:, w] |= dense[:, c].astype(np.uint64) << np.uint64(b)
+    return m
+
+
+def loop_to_dense(m):
+    out = np.zeros((m.n_rows, m.n_cols), dtype=np.uint8)
+    for c in range(m.n_cols):
+        w, b = divmod(c, 64)
+        out[:, c] = (m.data[:, w] >> np.uint64(b)) & np.uint64(1)
+    return out
+
+
+def loop_nullspace(dense):
+    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
+    n_cols = dense.shape[1]
+    m = loop_from_dense(dense)
+    pivot_cols = gf2.rref(m)
+    free_cols = [c for c in range(n_cols) if c not in set(pivot_cols)]
+    basis = np.zeros((len(free_cols), n_cols), dtype=np.uint8)
+    red = loop_to_dense(m)
+    for k, fc in enumerate(free_cols):
+        basis[k, fc] = 1
+        for row_idx, pc in enumerate(pivot_cols):
+            if red[row_idx, fc]:
+                basis[k, pc] = 1
+    return basis
+
+
+def loop_solve_affine(dense, rhs):
+    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
+    rhs = np.asarray(rhs, dtype=np.uint8) & 1
+    n_rows, n_cols = dense.shape
+    aug = gf2.BitMatrix(n_rows, n_cols + 1 + n_rows)
+    packed = loop_from_dense(dense)
+    aug.data[:, : packed.data.shape[1]] = packed.data
+    for r in range(n_rows):
+        if rhs[r]:
+            aug.set(r, n_cols, 1)
+        aug.set(r, n_cols + 1 + r, 1)
+    pivot_cols = gf2.rref(aug, col_order=list(range(n_cols)))
+    for r in range(len(pivot_cols), n_rows):
+        if aug.get(r, n_cols):
+            return None, [i for i in range(n_rows) if aug.get(r, n_cols + 1 + i)]
+    x = np.zeros(n_cols, dtype=np.uint8)
+    for row_idx, pc in enumerate(pivot_cols):
+        x[pc] = aug.get(row_idx, n_cols)
+    return x, []
+
+
+WIDTHS = [0, 1, 63, 64, 65, 129]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_packing_matches_loop_reference_and_word_layout(width):
+    rng = np.random.default_rng(1000 + width)
+    for rows in (0, 1, 5, 70):
+        dense = random_matrix(rng, rows, width)
+        packed = gf2.BitMatrix.from_dense(dense)
+        assert np.array_equal(packed.data, loop_from_dense(dense).data)
+        assert np.array_equal(packed.to_dense(), loop_to_dense(packed))
+        assert np.array_equal(packed.to_dense(), dense)
+        # column c is bit c % 64 of word c // 64
+        for r in range(rows):
+            for c in range(width):
+                assert packed.get(r, c) == dense[r, c]
+                word = int(packed.data[r, c // 64])
+                assert (word >> (c % 64)) & 1 == dense[r, c]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_nullspace_matches_loop_reference(width):
+    rng = np.random.default_rng(2000 + width)
+    for rows in (0, 1, width // 2, width + 3):
+        for density in (0.1, 0.5):
+            a = random_matrix(rng, rows, width, density)
+            got = gf2.nullspace(a)
+            want = loop_nullspace(a)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_solve_affine_matches_loop_reference(width):
+    rng = np.random.default_rng(3000 + width)
+    inconsistent = 0
+    for rows in (1, width // 2 + 1, width + 5):
+        for _ in range(4):
+            a = random_matrix(rng, rows, width, 0.3)
+            if rng.random() < 0.5 and width:
+                b = (a @ (rng.random(width) < 0.5)) % 2   # consistent
+            else:
+                b = (rng.random(rows) < 0.5).astype(np.uint8)
+            got, got_witness = gf2.solve_affine(a, b)
+            want, want_witness = loop_solve_affine(a, b)
+            assert got_witness == want_witness
+            if want is None:
+                assert got is None
+                inconsistent += 1
+            else:
+                assert np.array_equal(got, want)
+    assert inconsistent > 0

@@ -35,6 +35,11 @@ GOLDEN_STDOUT = {
      "--error", "X:4", "--postselect", "figure-set", "--format", "jsonl",
      "--seed", "7"):
         "862200f785e32675a79a031b9b5d09da88dee9355c40d57036ba869159dcf0bd",
+    ("webs", "-d", "3", "--rounds", "2", "--format", "tikz"):
+        "cb1aa77e0a2b3836a3f508503c427bae24e72b8f6784b68bb8c325c6d2a2e892",
+    ("sample", "-d", "3", "--rounds", "2", "-p", "0.05", "--format", "json",
+     "--seed", "3"):
+        "5d2c6671dc02324e00965e391454ddba7e29482f6d4d56c652557d7974d3aa85",
     ("verify", "-d", "3", "--rounds", "2", "--samples", "20", "--footnote5"):
         "47e55a78fc7ced0165feb6156deea92caa11a300eca00a0f9b4298a4acef44f4",
 }

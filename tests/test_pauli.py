@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from zxwebs.pauli import PauliOperator, phase_exponent
@@ -65,3 +66,49 @@ def test_validation():
         PauliOperator(2, ((0, "X"), (0, "Z")))
     with pytest.raises(ValueError):
         PauliOperator(2, sign=3)
+
+
+def int16_word_product(xa, za, xb, zb):
+    """The per-qubit int16 phase sum the row form of phase_exponent replaced."""
+    a, b, c, e = (v.astype(np.int16) for v in (xa, za, xb, zb))
+    return int(np.sum(a * b + c * e + 2 * b * c - (a ^ c) * (b ^ e))) % 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 25, 130])
+def test_row_phase_exponent_matches_int16_reference(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        rows = (rng.random((4, n)) < 0.5).astype(np.uint8)
+        assert phase_exponent(*rows) == int16_word_product(*rows)
+        # a word's exponent is the sum of its qubits' exponents mod 4
+        per_qubit = sum(phase_exponent(*map(int, rows[:, q])) for q in range(n))
+        assert phase_exponent(*rows) == per_qubit % 4
+
+
+def test_from_bits_round_trips_vectors_and_sign():
+    rng = np.random.default_rng(5)
+    letters = ["X", "Y", "Z"]
+    for n in (1, 4, 25):
+        for _ in range(30):
+            support = np.flatnonzero(rng.random(n) < 0.5).tolist()
+            op = PauliOperator.from_dict(
+                n, {q: letters[rng.integers(3)] for q in support},
+                sign=int(rng.choice([1, -1])))
+            again = PauliOperator.from_bits(*op.vectors)
+            assert again == op and again.sign == op.sign
+            x, z, sign_bit = op.vectors
+            assert set(np.flatnonzero(x).tolist()) == op.x_bits()
+            assert set(np.flatnonzero(z).tolist()) == op.z_bits()
+            assert sign_bit == (op.sign == -1)
+    assert PauliOperator.from_bits([0, 0], [0, 0]) == PauliOperator(2)
+
+
+def test_cached_vectors_reject_writes():
+    op = PauliOperator.from_dict(3, {0: "X", 2: "Y"})
+    x, z, _ = op.vectors
+    assert op.vectors[0] is x
+    with pytest.raises(ValueError):
+        x[1] = 1
+    with pytest.raises(ValueError):
+        z[0] ^= 1
+    assert op == PauliOperator.from_dict(3, {0: "X", 2: "Y"})

@@ -279,3 +279,98 @@ def test_web_document_round_trip(inj3):
     parsed = read_webs(text, diag)
     again = Web.from_highlight_names(diag, parsed["y-correlator"])
     assert again == web
+
+
+# -- loop references: the per-edge readers the array ones replaced ----------
+
+
+_REFERENCE_HIGHLIGHT = {(0, 0): Highlight.NONE, (1, 0): Highlight.X,
+                        (0, 1): Highlight.Z, (1, 1): Highlight.Y}
+
+
+def loop_highlight_map(w):
+    out = {}
+    for i, edge in enumerate(w.diagram.edges):
+        hl = _REFERENCE_HIGHLIGHT[(int(w.bits[2 * i]), int(w.bits[2 * i + 1]))]
+        if hl is not Highlight.NONE:
+            out[edge] = hl
+    return out
+
+
+def loop_boundary_restriction(w):
+    out = {}
+    for leg in w.diagram.boundary_legs:
+        hl = _REFERENCE_HIGHLIGHT[(int(w.bits[2 * leg.index]), int(w.bits[2 * leg.index + 1]))]
+        if hl is not Highlight.NONE:
+            out[leg.outer.id] = hl
+    return out
+
+
+def loop_syndrome(ws, err):
+    bits = np.zeros(len(ws), dtype=np.uint8)
+    for i, w in enumerate(ws):
+        total = 0
+        for edge, letter in err.insertions:
+            x, z = w.x_bit(edge), w.z_bit(edge)
+            if letter == "X":
+                total ^= z
+            elif letter == "Z":
+                total ^= x
+            else:
+                total ^= x ^ z
+        bits[i] = total
+    return bits
+
+
+@pytest.fixture(scope="module", params=[3, 5], ids=["d3", "d5"])
+def seeded_webs(request):
+    """Basis webs, detectors and seeded random combinations of an injection circuit."""
+    d = request.param
+    _, diag = make_diagram(d, "inject-y")
+    basis = web_space(diag).basis
+    rng = np.random.default_rng(d)
+    combos = []
+    for _ in range(20):
+        acc = Web.zero(diag)
+        for k in np.flatnonzero(rng.random(len(basis)) < 0.3):
+            acc = acc ^ basis[k]
+        combos.append(acc)
+    return diag, list(basis) + detectors(diag) + combos, rng
+
+
+def test_highlight_readers_match_loop_reference(seeded_webs):
+    diag, ws, _ = seeded_webs
+    for w in ws:
+        expected = loop_highlight_map(w)
+        got = w.highlight_map()
+        assert list(got.items()) == list(expected.items())
+        assert w.to_highlights() == {diag.edge_name(e): hl.value for e, hl in expected.items()}
+        assert list(w.boundary_restriction().items()) == \
+            list(loop_boundary_restriction(w).items())
+        marks = ", ".join(f"{diag.edge_name(e)}:{hl.value}" for e, hl in expected.items())
+        assert repr(w) == f"Web({marks})"
+    assert any(w.boundary_restriction() for w in ws)
+
+
+def test_syndrome_matches_loop_reference(seeded_webs):
+    diag, ws, rng = seeded_webs
+    stub_edges = {leg.edge for leg in diag.stub_legs}
+    edges = [e for e in diag.edges if e not in stub_edges]
+    letters = ["X", "Z", "Y"]
+    for trial in range(40):
+        k = 1 + trial % 4
+        items = [(edges[rng.integers(len(edges))], letters[rng.integers(3)])
+                 for _ in range(k)]
+        err = PauliErrorSet.of(diag, items)
+        assert np.array_equal(syndrome(ws, err), loop_syndrome(ws, err))
+    # Y insertions flip exactly the webs whose X and Z insertions flip differently
+    for edge in edges[:: max(1, len(edges) // 15)]:
+        y, x, z = (syndrome(ws, PauliErrorSet.of(diag, [(edge, c)])) for c in "YXZ")
+        assert np.array_equal(y, x ^ z)
+        assert np.array_equal(y, loop_syndrome(ws, PauliErrorSet.of(diag, [(edge, "Y")])))
+    # two X insertions on one edge cancel
+    edge = edges[len(edges) // 2]
+    assert syndrome(ws, PauliErrorSet.of(diag, [(edge, "X")])).any()
+    twice = PauliErrorSet.of(diag, [(edge, "X"), (edge, "X")])
+    assert not syndrome(ws, twice).any()
+    assert np.array_equal(syndrome(ws, twice), loop_syndrome(ws, twice))
