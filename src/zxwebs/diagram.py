@@ -34,6 +34,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
+import numpy as np
+
 DOCUMENT_VERSION = 1
 
 
@@ -124,6 +126,21 @@ class Leg(NamedTuple):
     inner: Node
 
 
+class SpiderLegs(NamedTuple):
+    """Every spider's legs as read-only edge-index arrays, spiders in canonical order.
+
+    Spider k owns ``legs[starts[k]:starts[k + 1]]``, in canonical edge
+    order. ``own[k]`` is the position of its own color's bit in an (x, z)
+    edge pair (1 for Z, 0 for X); ``half[k]`` flags a ±pi/2 phase.
+    """
+
+    spiders: tuple[Node, ...]
+    legs: np.ndarray
+    starts: np.ndarray
+    own: np.ndarray
+    half: np.ndarray
+
+
 class DiagramError(ValueError):
     """Structural problem that prevents building a Diagram at all."""
 
@@ -150,8 +167,8 @@ class Diagram:
     Nodes and edges are stored in canonical order: nodes by
     (layer, row, col, kind, id) and edges as ordered node pairs sorted the
     same way. Construction rejects only what would corrupt the data
-    structure (duplicate ids, dangling edge endpoints); everything else is
-    reported by validate().
+    structure (duplicate ids, dangling edge endpoints, edge kinds for
+    absent edges); everything else is reported by validate().
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[str, str]],
@@ -173,10 +190,6 @@ class Diagram:
                    key=lambda e: (self._by_id[e[0]].sort_key, self._by_id[e[1]].sort_key))
         )
         self.metadata: dict[str, str] = dict(metadata or {})
-        self._edge_kinds: dict[tuple[str, str], str] = {
-            self.edge_key(a, b): kind for (a, b), kind in (edge_kinds or {}).items()
-            if kind != "plain"
-        }
         self._adjacency: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for a, b in self.edges:
             if a in self._adjacency and b in self._adjacency and a != b:
@@ -185,6 +198,12 @@ class Diagram:
         self._edge_index: dict[tuple[str, str], int] = {
             e: i for i, e in enumerate(self.edges)
         }
+        self._edge_kinds: dict[tuple[str, str], str] = {}
+        for (a, b), kind in (edge_kinds or {}).items():
+            if not self.has_edge(a, b):
+                raise DiagramError(f"edge kind {kind!r} given for absent edge {a!r}--{b!r}")
+            if kind != "plain":
+                self._edge_kinds[self.edge_key(a, b)] = kind
 
     # -- lookups ---------------------------------------------------------
 
@@ -247,6 +266,22 @@ class Diagram:
     def boundary_legs(self) -> tuple[Leg, ...]:
         """Edges touching an open boundary node, in canonical edge order."""
         return self._legs(BOUNDARY_KINDS)
+
+    @cached_property
+    def spider_legs(self) -> SpiderLegs:
+        """Each spider's incident edge indices as one flat index table."""
+        spiders = self.spiders()
+        slot = {s.id: k for k, s in enumerate(spiders)}
+        # (spider, edge index) per leg; a self-loop is no leg, as in incident_edges
+        ends = sorted((slot[n], i) for i, (a, b) in enumerate(self.edges) if a != b
+                      for n in (a, b) if n in slot)
+        owner, legs = np.array(ends, dtype=np.intp).reshape(-1, 2).T.copy()
+        table = SpiderLegs(spiders, legs, np.searchsorted(owner, np.arange(len(spiders) + 1)),
+                           np.array([s.color is Color.Z for s in spiders], dtype=np.intp),
+                           np.array([s.phase.is_half for s in spiders], dtype=bool))
+        for array in table[1:]:
+            array.flags.writeable = False
+        return table
 
     def incident_edges(self, node_id: str) -> tuple[tuple[str, str], ...]:
         """Incident edges of a node, in canonical edge order."""

@@ -49,20 +49,16 @@ def check_web_space(diag: Diagram, space: WebSpace) -> CheckResult:
     ok = space.rank + space.dim == n_vars
     bad = sum(1 for w in space.basis if webs.validate_web(diag, w))
     ok = ok and bad == 0
-    # degree-1 termination rules, asserted literally on every basis web
-    terminations_ok = True
-    for w in space.basis:
-        for node in diag.spiders():
-            if diag.degree(node.id) != 1:
-                continue
-            leg = diag.incident_edges(node.id)[0]
-            x, z = w.x_bit(leg), w.z_bit(leg)
-            if node.phase.is_half:
-                terminations_ok &= (x == z)
-            elif node.color.value == "Z":
-                terminations_ok &= (z == 0)
-            else:
-                terminations_ok &= (x == 0)
+    # degree-1 termination rules, asserted literally on every basis web: a
+    # ±pi/2 end carries x = z, any other end leaves its own color unlit
+    t = diag.spider_legs
+    ends = np.flatnonzero(np.diff(t.starts) == 1)
+    x_var = 2 * t.legs[t.starts[ends]]
+    own_var = x_var + t.own[ends]
+    half = t.half[ends]
+    terminations_ok = not any(
+        np.where(half, w.bits[x_var] ^ w.bits[x_var + 1], w.bits[own_var]).any()
+        for w in space.basis)
     ok = ok and terminations_ok
     return CheckResult(
         "web-space", ok,

@@ -13,7 +13,7 @@ Degree-1 non-spider legs (open boundaries and measurement stubs) are
 unconstrained by the spider rules. Measurement stubs are read in a fixed
 basis, so outcome-carrying webs may only highlight a stub edge with the
 measured-parity color (the ancilla's opposite color); solve() and
-detectors() impose that restriction by default.
+detectors() impose that restriction.
 
 Variables are ordered x_e, z_e per edge, edges in canonical diagram order.
 Webs are unsigned supports: all sign statements are delegated to the
@@ -52,19 +52,6 @@ class Highlight(Enum):
 _HIGHLIGHT_OF_CODE = (Highlight.NONE, Highlight.X, Highlight.Z, Highlight.Y)
 
 
-def x_var(d: Diagram, edge: tuple[str, str]) -> int:
-    return 2 * d.edge_index(*edge)
-
-
-def z_var(d: Diagram, edge: tuple[str, str]) -> int:
-    return 2 * d.edge_index(*edge) + 1
-
-
-def _own_offset(color: Color) -> int:
-    # variable layout is (x_e, z_e): a Z spider's own bit is the z bit
-    return 1 if color is Color.Z else 0
-
-
 def stub_edges(d: Diagram) -> list[tuple[str, str]]:
     """Edges attached to measurement stubs, in canonical edge order."""
     return [leg.edge for leg in d.stub_legs]
@@ -91,9 +78,8 @@ class Web:
         for edge, hl in highlights.items():
             if not diagram.has_edge(*edge):
                 raise DiagramError(f"web references edge {edge!r} absent from diagram")
-            x, z = hl.bits
-            web.bits[x_var(diagram, edge)] = x
-            web.bits[z_var(diagram, edge)] = z
+            var = 2 * diagram.edge_index(*edge)
+            web.bits[var:var + 2] = hl.bits
         return web
 
     @classmethod
@@ -105,10 +91,10 @@ class Web:
         })
 
     def x_bit(self, edge: tuple[str, str]) -> int:
-        return int(self.bits[x_var(self.diagram, edge)])
+        return int(self.bits[2 * self.diagram.edge_index(*edge)])
 
     def z_bit(self, edge: tuple[str, str]) -> int:
-        return int(self.bits[z_var(self.diagram, edge)])
+        return int(self.bits[2 * self.diagram.edge_index(*edge) + 1])
 
     def highlight(self, edge: tuple[str, str]) -> Highlight:
         return Highlight.from_bits(self.x_bit(edge), self.z_bit(edge))
@@ -169,59 +155,56 @@ class SpiderConstraints:
     row_spiders: tuple[str, ...]     # spider id per row
 
 
+def _leg_vars(d: Diagram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spider slot, own-color variable, opposite-color variable) of every spider leg."""
+    t = d.spider_legs
+    spider = np.repeat(np.arange(len(t.spiders)), np.diff(t.starts))
+    own = 2 * t.legs + t.own[spider]
+    return spider, own, own ^ 1
+
+
 def spider_constraints(d: Diagram) -> SpiderConstraints:
     """Build the rule system: all-or-none rows, then one parity row per spider.
 
-    Rows and variables come out in canonical order, so the system (and
-    everything derived from it) is reproducible across runs.
+    A spider of degree k owns k consecutive rows, one per leg of the
+    spider-leg table. Rows and variables come out in canonical order, so the
+    system (and everything derived from it) is reproducible across runs.
     """
     violations = validate(d)
     if violations:
         raise DiagramError("diagram is invalid: " + "; ".join(map(str, violations)))
-    n_vars = 2 * len(d.edges)
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    for s in d.spiders():
-        legs = d.incident_edges(s.id)
-        own = _own_offset(s.color)
-        opp = 1 - own
-        for e1, e2 in zip(legs, legs[1:]):
-            row = np.zeros(n_vars, dtype=np.uint8)
-            row[2 * d.edge_index(*e1) + opp] ^= 1
-            row[2 * d.edge_index(*e2) + opp] ^= 1
-            rows.append(row)
-            labels.append(s.id)
-        row = np.zeros(n_vars, dtype=np.uint8)
-        for e in legs:
-            row[2 * d.edge_index(*e) + own] ^= 1
-        if s.phase.is_half:
-            row[2 * d.edge_index(*legs[0]) + opp] ^= 1
-        rows.append(row)
-        labels.append(s.id)
-    matrix = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, n_vars), dtype=np.uint8)
-    return SpiderConstraints(diagram=d, matrix=matrix, row_spiders=tuple(labels))
+    t = d.spider_legs
+    spider, own, opp = _leg_vars(d)
+    matrix = np.zeros((len(t.legs), 2 * len(d.edges)), dtype=np.uint8)
+    parity = t.starts[1:] - 1
+    tied = np.ones(len(t.legs), dtype=bool)
+    tied[parity] = False
+    tied = np.flatnonzero(tied)
+    matrix[tied, opp[tied]] = 1
+    matrix[tied, opp[tied + 1]] = 1
+    matrix[parity[spider], own] = 1
+    half = np.flatnonzero(t.half)
+    matrix[parity[half], opp[t.starts[half]]] = 1
+    return SpiderConstraints(diagram=d, matrix=matrix,
+                             row_spiders=tuple(t.spiders[k].id for k in spider.tolist()))
 
 
 def validate_web(d: Diagram, w: Web) -> list[str]:
     """Re-check every spider rule directly; returns violated spider ids.
 
-    Deliberately independent of the constraint-matrix path so it can serve
-    as the solver's self-test.
+    It reads the web's bits at the diagram's spider-leg table, the same
+    incidence spider_constraints() builds its rows from, but never the
+    constraint matrix, so it can serve as the solver's self-test. A spider
+    without legs has nothing to highlight and is never reported.
     """
-    bad: list[str] = []
-    for s in d.spiders():
-        legs = d.incident_edges(s.id)
-        if s.color is Color.Z:
-            own_bits = [w.z_bit(e) for e in legs]
-            opp_bits = [w.x_bit(e) for e in legs]
-        else:
-            own_bits = [w.x_bit(e) for e in legs]
-            opp_bits = [w.z_bit(e) for e in legs]
-        all_or_none = len(set(opp_bits)) <= 1
-        expected = opp_bits[0] if (s.phase.is_half and all_or_none) else 0
-        if not all_or_none or sum(own_bits) % 2 != expected:
-            bad.append(s.id)
-    return bad
+    t = d.spider_legs
+    spider, own, opp = _leg_vars(d)
+    # per-spider sums of the own and the opposite bits; a legless spider sums to 0
+    own_lit = np.bincount(spider, w.bits[own], len(t.spiders))
+    opp_lit = np.bincount(spider, w.bits[opp], len(t.spiders))
+    all_or_none = (opp_lit == 0) | (opp_lit == np.diff(t.starts))
+    bad = ~all_or_none | (own_lit % 2 != (t.half & (opp_lit > 0)))
+    return [t.spiders[k].id for k in np.flatnonzero(bad).tolist()]
 
 
 @dataclass(frozen=True)
@@ -264,11 +247,11 @@ class Infeasible:
 BoundaryCondition = Mapping[str, Highlight]
 
 
-def _leg_edge(d: Diagram, leg_id: str) -> tuple[str, str]:
+def _leg_index(d: Diagram, leg_id: str) -> int:
     node = d.node(leg_id)
     if node.kind is Kind.SPIDER or d.degree(leg_id) != 1:
         raise ValueError(f"{leg_id!r} is not a degree-1 non-spider leg")
-    return d.edge_key(leg_id, d.neighbors(leg_id)[0])
+    return d.edge_index(leg_id, d.neighbors(leg_id)[0])
 
 
 def _stub_priority(d: Diagram) -> list[int]:
@@ -279,23 +262,24 @@ def _stub_priority(d: Diagram) -> list[int]:
     return stub_vars + rest
 
 
-def _stub_basis_rows(d: Diagram, n_vars: int) -> tuple[list[np.ndarray], list[str]]:
-    """Rows pinning each stub edge's basis-mismatched bit to zero.
+def _stub_basis_vars(d: Diagram) -> tuple[list[int], list[str]]:
+    """Each stub edge's basis-mismatched bit, pinned to zero, with its stub id.
 
     A stub hanging off a Z-colored ancilla belongs to an X-parity
     measurement; only the X highlight reads that outcome, so the z bit is
     pinned (and dually for X-colored ancillas).
     """
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    for leg in d.stub_legs:
-        if leg.inner.kind is not Kind.SPIDER:
-            continue
-        row = np.zeros(n_vars, dtype=np.uint8)
-        row[2 * leg.index + _own_offset(leg.inner.color)] = 1
-        rows.append(row)
-        labels.append(leg.outer.id)
-    return rows, labels
+    legs = [leg for leg in d.stub_legs if leg.inner.kind is Kind.SPIDER]
+    # a Z ancilla's own bit is the z bit of its (x, z) pair
+    return ([2 * leg.index + int(leg.inner.color is Color.Z) for leg in legs],
+            [leg.outer.id for leg in legs])
+
+
+def _unit_rows(n_vars: int, variables: Sequence[int]) -> np.ndarray:
+    """One constraint row per entry of ``variables``, selecting that variable."""
+    rows = np.zeros((len(variables), n_vars), dtype=np.uint8)
+    rows[np.arange(len(variables)), variables] = 1
+    return rows
 
 
 def solve(d: Diagram, bc: BoundaryCondition) -> Web | Infeasible:
@@ -307,29 +291,17 @@ def solve(d: Diagram, bc: BoundaryCondition) -> Web | Infeasible:
     measurement-basis color.
     """
     system = spider_constraints(d)
-    n_vars = system.matrix.shape[1]
-    labels: list[tuple[str, str]] = [("spider", sid) for sid in system.row_spiders]
-    extra_rows: list[np.ndarray] = []
-    extra_rhs: list[int] = []
-    for leg_id in sorted(bc):
-        edge = _leg_edge(d, leg_id)
-        xb, zb = bc[leg_id].bits
-        for offset, value in ((0, xb), (1, zb)):
-            row = np.zeros(n_vars, dtype=np.uint8)
-            row[2 * d.edge_index(*edge) + offset] = 1
-            extra_rows.append(row)
-            extra_rhs.append(value)
-            labels.append(("leg", leg_id))
-    stub_rows, stub_labels = _stub_basis_rows(d, n_vars)
-    extra_rows.extend(stub_rows)
-    extra_rhs.extend([0] * len(stub_rows))
-    labels.extend(("leg", sid) for sid in stub_labels)
-    if extra_rows:
-        matrix = np.vstack([system.matrix, np.array(extra_rows, dtype=np.uint8)])
-    else:
-        matrix = system.matrix
-    rhs_vec = np.concatenate([np.zeros(system.matrix.shape[0], dtype=np.uint8),
-                              np.array(extra_rhs, dtype=np.uint8)])
+    pinned = sorted(bc)
+    pin_vars = [2 * _leg_index(d, leg_id) + offset for leg_id in pinned for offset in (0, 1)]
+    pin_rhs = [bit for leg_id in pinned for bit in bc[leg_id].bits]
+    stub_vars, stub_labels = _stub_basis_vars(d)
+    matrix = np.vstack([system.matrix,
+                        _unit_rows(system.matrix.shape[1], pin_vars + stub_vars)])
+    rhs_vec = np.zeros(len(matrix), dtype=np.uint8)
+    rhs_vec[len(system.matrix):len(system.matrix) + len(pin_rhs)] = pin_rhs
+    labels = ([("spider", sid) for sid in system.row_spiders]
+              + [("leg", leg_id) for leg_id in pinned for _ in (0, 1)]
+              + [("leg", sid) for sid in stub_labels])
     solution, witness = gf2.solve_affine(matrix, rhs_vec)
     if solution is None:
         spiders = sorted({labels[i][1] for i in witness if labels[i][0] == "spider"})
@@ -348,17 +320,10 @@ def detectors(d: Diagram) -> list[Web]:
     leading coordinates, giving one canonical detector per pivot stub.
     """
     system = spider_constraints(d)
-    n_vars = system.matrix.shape[1]
-    rows = [system.matrix]
-    for leg in d.boundary_legs:
-        for offset in (0, 1):
-            row = np.zeros(n_vars, dtype=np.uint8)
-            row[2 * leg.index + offset] = 1
-            rows.append(row[None, :])
-    stub_rows, _ = _stub_basis_rows(d, n_vars)
-    if stub_rows:
-        rows.append(np.array(stub_rows, dtype=np.uint8))
-    matrix = np.vstack(rows)
+    boundary_vars = [2 * leg.index + offset for leg in d.boundary_legs for offset in (0, 1)]
+    stub_vars, _ = _stub_basis_vars(d)
+    matrix = np.vstack([system.matrix,
+                        _unit_rows(system.matrix.shape[1], boundary_vars + stub_vars)])
     basis = gf2.nullspace(matrix)
     if basis.size == 0:
         return []

@@ -17,6 +17,8 @@ from zxwebs.diagram import (
     validate,
 )
 
+from conftest import make_diagram
+
 
 def minimal_y_diagram():
     """A single pi/2 Z spider with one open output leg."""
@@ -93,6 +95,47 @@ def test_construction_rejects_structural_corruption():
         Diagram([spider, spider], [])
     with pytest.raises(DiagramError, match="unknown node"):
         Diagram([spider], [("s", "ghost")])
+
+
+def test_construction_rejects_edge_kinds_for_absent_edges():
+    s = Node.spider("s", Color.Z, 0, (0, 0, 0))
+    t = Node.spider("t", Color.X, 0, (1, 0, 0))
+    with pytest.raises(DiagramError, match="absent edge"):
+        Diagram([s, t], [("s", "t")], edge_kinds={("s", "ghost"): "hadamard"})
+    with pytest.raises(DiagramError, match="absent edge"):
+        Diagram([s, t], [], edge_kinds={("s", "t"): "plain"})
+    # a kind given in the other orientation names an edge that exists
+    d = Diagram([s, t], [("s", "t")], edge_kinds={("t", "s"): "hadamard"})
+    assert d.edge_kind("s", "t") == "hadamard"
+    assert deserialize(serialize(d)) == d
+
+
+def test_spider_legs_table_matches_incident_edges():
+    _, diag = make_diagram(5, "inject-y")
+    assert "spider_legs" not in vars(diag)  # built on first use, not with the diagram
+    t = diag.spider_legs
+    assert t is diag.spider_legs
+    assert t.spiders == diag.spiders()
+    assert t.starts[0] == 0 and t.starts[-1] == len(t.legs)
+    for k, s in enumerate(t.spiders):
+        legs = t.legs[t.starts[k]:t.starts[k + 1]]
+        assert [diag.edges[i] for i in legs] == list(diag.incident_edges(s.id))
+        assert t.own[k] == (1 if s.color is Color.Z else 0)
+        assert t.half[k] == s.phase.is_half
+    for array in t[1:]:
+        with pytest.raises(ValueError):
+            array[:1] = 0
+
+
+def test_spider_legs_skip_legless_spiders_and_self_loops():
+    h = Node.spider("h", Color.Z, 1, (0, 0, 0))
+    k = Node.spider("k", Color.X, 0, (1, 0, 0))
+    o = Node.boundary_out("o", (1, 0, 1))
+    t = Diagram([h, k, o], [("k", "o"), ("h", "h")]).spider_legs
+    assert [s.id for s in t.spiders] == ["h", "k"]
+    assert t.starts.tolist() == [0, 0, 1]
+    assert t.legs.tolist() == [1]
+    assert t.own.tolist() == [1, 0] and t.half.tolist() == [True, False]
 
 
 def test_round_trip_identity_and_byte_stability():

@@ -3,13 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from zxwebs.diagram import Color, Diagram, Node, serialize, read_webs
+from zxwebs import gf2
+from zxwebs.diagram import Color, Diagram, Node, serialize, read_webs, validate
 from zxwebs.surface import correlator_boundary_condition, logical_operators, web_output_pauli
+from zxwebs.verify import CheckResult, check_web_space
 from zxwebs.webs import (
     Highlight,
     Infeasible,
     PauliErrorSet,
     Web,
+    WebSpace,
     detectors,
     solve,
     spider_constraints,
@@ -374,3 +377,223 @@ def test_syndrome_matches_loop_reference(seeded_webs):
     twice = PauliErrorSet.of(diag, [(edge, "X"), (edge, "X")])
     assert not syndrome(ws, twice).any()
     assert np.array_equal(syndrome(ws, twice), loop_syndrome(ws, twice))
+
+
+# -- loop references: the per-spider rule evaluators the leg table replaced --
+
+
+def loop_spider_constraints(d):
+    n_vars = 2 * len(d.edges)
+    rows, labels = [], []
+    for s in d.spiders():
+        legs = d.incident_edges(s.id)
+        own = 1 if s.color is Color.Z else 0
+        opp = 1 - own
+        for e1, e2 in zip(legs, legs[1:]):
+            row = np.zeros(n_vars, dtype=np.uint8)
+            row[2 * d.edge_index(*e1) + opp] ^= 1
+            row[2 * d.edge_index(*e2) + opp] ^= 1
+            rows.append(row)
+            labels.append(s.id)
+        row = np.zeros(n_vars, dtype=np.uint8)
+        for e in legs:
+            row[2 * d.edge_index(*e) + own] ^= 1
+        if s.phase.is_half:
+            row[2 * d.edge_index(*legs[0]) + opp] ^= 1
+        rows.append(row)
+        labels.append(s.id)
+    matrix = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, n_vars), dtype=np.uint8)
+    return matrix, tuple(labels)
+
+
+def loop_validate_web(d, w):
+    bad = []
+    for s in d.spiders():
+        legs = d.incident_edges(s.id)
+        if s.color is Color.Z:
+            own_bits = [w.z_bit(e) for e in legs]
+            opp_bits = [w.x_bit(e) for e in legs]
+        else:
+            own_bits = [w.x_bit(e) for e in legs]
+            opp_bits = [w.z_bit(e) for e in legs]
+        all_or_none = len(set(opp_bits)) <= 1
+        expected = opp_bits[0] if (s.phase.is_half and all_or_none) else 0
+        if not all_or_none or sum(own_bits) % 2 != expected:
+            bad.append(s.id)
+    return bad
+
+
+def mixed_phase_diagram():
+    """±pi/2 spiders of degree 1 and 3, a degree-1 X end and a kpi hub."""
+    return Diagram(
+        nodes=[Node.spider("y", Color.Z, 1, (0, 0, 0)),
+               Node.spider("x", Color.X, 0, (1, 0, 0)),
+               Node.spider("h", Color.X, 3, (0, 0, 1)),
+               Node.spider("g", Color.Z, 2, (1, 0, 1)),
+               Node.boundary_in("i", (2, 0, 0)),
+               Node.boundary_out("o", (0, 0, 2)),
+               Node.measure_out("m", "c0", (1, 0, 2))],
+        edges=[("y", "h"), ("x", "g"), ("h", "g"), ("h", "o"), ("i", "g"), ("g", "m")],
+    )
+
+
+HAND_BUILT = {
+    "plus": lambda: single_spider(Color.Z, 0),
+    "y-state": lambda: single_spider(Color.Z, 1),
+    "minus-y-x": lambda: single_spider(Color.X, 3),
+    "wire": wire_through_z,
+    "star": star_x_spider,
+    "mixed": mixed_phase_diagram,
+}
+SCHEME_GRID = [(scheme, d, rounds) for scheme in ("memory-z", "memory-x", "inject-y")
+               for d in (3, 5) for rounds in (1, 2)]
+
+
+@pytest.fixture(scope="module", params=[*HAND_BUILT, *SCHEME_GRID],
+                ids=lambda p: p if isinstance(p, str) else "{}-d{}-r{}".format(*p))
+def reference_diagram(request):
+    if isinstance(request.param, str):
+        return HAND_BUILT[request.param]()
+    return make_diagram(request.param[1], request.param[0], request.param[2])[1]
+
+
+def test_spider_constraints_matches_loop_reference(reference_diagram):
+    system = spider_constraints(reference_diagram)
+    matrix, labels = loop_spider_constraints(reference_diagram)
+    assert system.matrix.dtype == np.uint8
+    assert np.array_equal(system.matrix, matrix)
+    assert system.row_spiders == labels
+
+
+def test_validate_web_matches_loop_reference(reference_diagram):
+    d = reference_diagram
+    rng = np.random.default_rng(len(d.edges))
+    n_vars = 2 * len(d.edges)
+    for density in (0.02, 0.2, 0.5):
+        for _ in range(8):
+            w = Web(d, rng.random(n_vars) < density)
+            assert validate_web(d, w) == loop_validate_web(d, w)
+    basis = web_space(d).basis
+    assert basis
+    for w in basis[:12]:
+        assert validate_web(d, w) == loop_validate_web(d, w) == []
+        for bit in rng.choice(n_vars, size=min(n_vars, 12), replace=False).tolist():
+            flipped = Web(d, w.bits.copy())
+            flipped.bits[bit] ^= 1
+            bad = validate_web(d, flipped)
+            assert bad == loop_validate_web(d, flipped)
+
+
+def loop_check_web_space(diag, space):
+    n_vars = 2 * len(diag.edges)
+    ok = space.rank + space.dim == n_vars
+    bad = sum(1 for w in space.basis if loop_validate_web(diag, w))
+    ok = ok and bad == 0
+    terminations_ok = True
+    for w in space.basis:
+        for node in diag.spiders():
+            if diag.degree(node.id) != 1:
+                continue
+            leg = diag.incident_edges(node.id)[0]
+            x, z = w.x_bit(leg), w.z_bit(leg)
+            if node.phase.is_half:
+                terminations_ok &= (x == z)
+            elif node.color.value == "Z":
+                terminations_ok &= (z == 0)
+            else:
+                terminations_ok &= (x == 0)
+    ok = ok and terminations_ok
+    return CheckResult(
+        "web-space", ok,
+        f"rank {space.rank} + dim {space.dim} vs {n_vars} vars; "
+        f"{bad} invalid basis webs; terminations {'ok' if terminations_ok else 'BROKEN'}")
+
+
+def test_check_web_space_matches_loop_reference(reference_diagram):
+    d = reference_diagram
+    space = web_space(d)
+    rng = np.random.default_rng(len(d.edges) + 1)
+    noise = tuple(Web(d, rng.random(2 * len(d.edges)) < 0.3) for _ in range(6))
+    for basis in (space.basis, noise, space.basis[:1] + noise[:1], ()):
+        trial = WebSpace(diagram=d, basis=basis, rank=space.rank)
+        assert check_web_space(d, trial) == loop_check_web_space(d, trial)
+    assert check_web_space(d, space).ok
+
+
+@pytest.mark.parametrize("color, phase, good, bad", [
+    (Color.Z, 1, Highlight.Y, Highlight.X),
+    (Color.X, 3, Highlight.Y, Highlight.Z),
+    (Color.Z, 0, Highlight.X, Highlight.Z),
+    (Color.X, 2, Highlight.Z, Highlight.X),
+])
+def test_check_web_space_flags_each_broken_termination(color, phase, good, bad):
+    d = single_spider(color, phase)
+    for hl, verdict in ((good, "terminations ok"), (bad, "terminations BROKEN")):
+        space = WebSpace(diagram=d, basis=(Web.from_edge_map(d, {("s", "o"): hl}),), rank=1)
+        result = check_web_space(d, space)
+        assert result == loop_check_web_space(d, space)
+        assert result.detail.endswith(verdict) and result.ok is (hl is good)
+
+
+def test_legless_half_spider_is_not_a_web_violation():
+    h = Node.spider("h", Color.Z, 1, (0, 0, 0))
+    k = Node.spider("k", Color.Z, 0, (1, 0, 0))
+    o = Node.boundary_out("o", (1, 0, 1))
+    d = Diagram([h, k, o], [("k", "o")])
+    assert [v.code for v in validate(d)] == ["degree"]
+    assert validate_web(d, Web.zero(d)) == []
+    assert validate_web(d, Web.from_edge_map(d, {("k", "o"): Highlight.X})) == []
+    assert validate_web(d, Web.from_edge_map(d, {("k", "o"): Highlight.Z})) == ["k"]
+
+
+def random_zx_graph(rng):
+    """A valid random ZX graph: spider-spider edges, boundary legs and stubs."""
+    n = int(rng.integers(1, 9))
+    nodes = [Node.spider(f"s{k}", (Color.Z, Color.X)[rng.integers(2)],
+                         int(rng.integers(4)), (k, 0, int(rng.integers(3))))
+             for k in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < 0.4)]
+    edges = [(f"s{a}", f"s{b}") for a, b in chosen]
+    degree = np.zeros(n, dtype=int)
+    for a, b in chosen:
+        degree[a] += 1
+        degree[b] += 1
+    for k in range(n):
+        # every spider keeps degree >= 1; some get extra open legs or stubs
+        for j in range(int(degree[k] == 0) + int(rng.integers(3) == 0)):
+            leg = f"b{k}.{j}"
+            if rng.integers(3) == 0:
+                nodes.append(Node.measure_out(leg, f"c{k}.{j}", (k, 1, 3)))
+            else:
+                nodes.append(Node.boundary_out(leg, (k, 1, 3)))
+            edges.append((f"s{k}", leg))
+    return Diagram(nodes, edges)
+
+
+def test_validate_web_agrees_with_matrix_residual_on_random_graphs():
+    rng = np.random.default_rng(20240601)
+    checked = violated = 0
+    for _ in range(150):
+        d = random_zx_graph(rng)
+        assert validate(d) == []
+        system = spider_constraints(d)
+        n_vars = system.matrix.shape[1]
+        kernel = gf2.nullspace(system.matrix)
+        candidates = [rng.random(n_vars) < p for p in (0.1, 0.3, 0.5)]
+        for _ in range(3):
+            valid = (rng.random(len(kernel)) < 0.5).astype(np.uint8) @ kernel % 2
+            candidates.append(valid)
+            flipped = valid.copy()
+            flipped[rng.integers(n_vars)] ^= 1
+            candidates.append(flipped)
+        for bits in candidates:
+            w = Web(d, bits)
+            residual = np.count_nonzero(system.matrix & w.bits, axis=1) % 2
+            expected = {system.row_spiders[r] for r in np.flatnonzero(residual)}
+            got = validate_web(d, w)
+            assert set(got) == expected
+            assert len(got) == len(set(got))
+            checked += 1
+            violated += bool(got)
+    assert 0 < violated < checked
