@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from . import oracle, verify, webs
+from . import oracle, sampler, verify, webs
 from .diagram import export
 from .pauli import PauliOperator
 # perfbench/run.py builds its set-up circuit through the names imported here.
@@ -73,10 +73,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _postselect_set(program: oracle.Program, config: RunConfig) -> list[str] | None:
+def _postselect_set(source: oracle.Program | oracle.Walk,
+                    config: RunConfig) -> list[str] | None:
     if config.postselect == "none":
         return None
-    checks = oracle.deterministic_checks(program)
+    checks = oracle.deterministic_checks(source)
     if config.postselect == "figure-set":
         checks = {c for c in checks if c.startswith("r1.")}
     return sorted(checks)
@@ -187,8 +188,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _parse_error_flags(layout: Layout,
-                       flags: tuple[str, ...]) -> list[tuple[tuple[str, str], str]]:
+def _parse_error_flags(layout: Layout, flags: tuple[str, ...]) -> list[tuple[int, str]]:
     items = []
     for flag in flags:
         try:
@@ -200,7 +200,7 @@ def _parse_error_flags(layout: Layout,
             raise ValueError(f"bad --error letter {letter!r}")
         if not 0 <= qubit < layout.n:
             raise ValueError(f"--error qubit {qubit} outside the lattice")
-        items.append(((f"q{qubit}.l0", f"q{qubit}.l1"), letter))
+        items.append((qubit, letter))
     return items
 
 
@@ -208,30 +208,28 @@ def cmd_sample(config: RunConfig) -> int:
     layout, diag, logical = scheme_circuit(config.distance, config.scheme,
                                            config.rounds)
     program = oracle.lower(diag)
-    postselect = _postselect_set(program, config)
-    fixed_errors = _parse_error_flags(layout, config.errors)
+    walk = oracle.walk(program, logical)
+    postselect = _postselect_set(walk, config)
+    # only jsonl prints check outcomes; the other formats need just the
+    # post-selected ones, which take no coins
+    model = sampler.OutcomeModel(program, logical, postselect=postselect, walk=walk,
+                                 report=None if config.fmt == "jsonl" else ())
+    shots = model.shots(config.seed, config.shots, error_rate=config.error_rate,
+                        z_error_rate=config.z_error_rate,
+                        fixed=_parse_error_flags(layout, config.errors))
     rows, record_lines = [], []
     n_accepted = n_flip_raw = n_flip_accepted = 0
-    for shot in range(config.shots):
-        items = list(fixed_errors)
-        for q in range(layout.n):
-            for letter, rate in (("X", config.error_rate), ("Z", config.z_error_rate)):
-                if rate and oracle.counter_unit(
-                        config.seed, shot, f"err{letter.lower()}:{q}") < rate:
-                    items.append(((f"q{q}.l0", f"q{q}.l1"), letter))
-        err = webs.PauliErrorSet.of(diag, items)
-        rec = oracle.run(program, err, seed=config.seed, shot=shot,
-                         postselect=postselect, measure_logical=logical)
+    for shot, (n_errors, rec) in enumerate(shots):
         accepted = rec.accepted if rec.accepted is not None else True
         n_accepted += accepted
         n_flip_raw += rec.logical_y
         if accepted:
             n_flip_accepted += rec.logical_y
-        rows.append((shot, int(accepted), rec.logical_y, len(items)))
+        rows.append((shot, int(accepted), rec.logical_y, n_errors))
         if config.fmt == "jsonl":
             record_lines.append(json.dumps({
                 "shot": shot,
-                "n_errors": len(items),
+                "n_errors": n_errors,
                 "outcomes": {k: rec.outcomes[k] for k in sorted(rec.outcomes)},
                 "forced": {k: rec.forced[k] for k in sorted(rec.forced)},
                 "accepted": rec.accepted,
@@ -269,11 +267,12 @@ def cmd_sample(config: RunConfig) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, rounds: bool = True) -> None:
     parser.add_argument("-d", "--distance", type=int, default=5,
                         help="code distance (odd, >= 3)")
-    parser.add_argument("--rounds", type=int, default=1,
-                        help="full rounds of parity measurement")
+    if rounds:
+        parser.add_argument("--rounds", type=int, default=1,
+                            help="full rounds of parity measurement")
     parser.add_argument("--scheme", choices=tuple(SCHEMES), default="inject-y")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_layout = sub.add_parser("layout", help="emit the lattice layout document")
-    _add_common(p_layout)
+    _add_common(p_layout, rounds=False)  # the document describes round 1 only
 
     p_webs = sub.add_parser("webs", help="emit web space, correlator and detectors")
     _add_common(p_webs)
@@ -303,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=0,
                           help="random error insertions for syndrome checks")
     p_verify.add_argument("--footnote5", action="store_true",
-                          help="include the random-parity tableau reproduction")
+                          help="include the random-parity tableau reproduction "
+                               "(always 1000 draws, whatever --shots says: its "
+                               "chi-square gate needs that many)")
 
     p_sample = sub.add_parser("sample", help="Monte Carlo with init-time errors")
     _add_common(p_sample)
@@ -325,12 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(
         distance=args.distance,
-        rounds=args.rounds,
         scheme=args.scheme,
         seed=args.seed,
         out=args.out,
     )
-    for name in ("shots", "error_rate", "z_error_rate", "postselect",
+    for name in ("rounds", "shots", "error_rate", "z_error_rate", "postselect",
                  "fmt", "correlator"):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))

@@ -109,9 +109,8 @@ def nullspace(dense: np.ndarray) -> np.ndarray:
     Deterministic: free columns are taken in ascending index order and each
     basis vector is the standard back-substituted vector for one free column.
     """
-    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
-    n_cols = dense.shape[1]
     m = BitMatrix.from_dense(dense)
+    n_cols = m.n_cols
     pivot_cols = rref(m)
     is_free = np.ones(n_cols, dtype=bool)
     is_free[pivot_cols] = False

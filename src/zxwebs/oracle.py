@@ -522,24 +522,66 @@ def run(program: Program, errors: PauliErrorSet | None = None, *, seed: int = 0,
                       accepted=accepted, logical_y=logical_y)
 
 
-def deterministic_checks(program: Program) -> frozenset[str]:
+@dataclass(frozen=True)
+class CheckStep:
+    """One check of the error-free circuit as a walk with every coin 0 saw it."""
+
+    check_id: str
+    position: int           # index in the error-free instruction stream
+    result: MeasureResult   # outcome with every coin 0, forced or random, aux
+
+
+@dataclass(frozen=True)
+class Walk:
+    """The error-free circuit executed once, every random outcome set to 0.
+
+    Which measurements are random, and which random events a forced outcome
+    depends on, follow from the X/Z parts of the tableau alone. Pauli errors
+    and coins only change signs, so they are the same in every shot; a
+    forced outcome is ``result.outcome`` XOR the coins of the events in its
+    ``aux`` mask, XOR whatever the errors flip.
+    """
+
+    checks: tuple[CheckStep, ...]          # in measurement order
+    logical: MeasureResult | None = None   # measured after the last check
+
+    @property
+    def events(self) -> tuple[str, ...]:
+        """check_id of each random event: bit k of an aux mask is events[k]."""
+        return tuple(step.check_id for step in self.checks
+                     if not step.result.deterministic)
+
+
+def walk(program: Program, measure_logical: PauliOperator | None = None) -> Walk:
+    """Walk the error-free circuit once with every coin 0 (see :class:`Walk`)."""
+    tableau: Tableau | None = None
+    steps: list[CheckStep] = []
+    for index, instr in enumerate(program.instructions()):
+        if isinstance(instr, Prepare):
+            tableau = prepare(dict(instr.pattern))
+        else:  # an error-free stream holds only measurements after Prepare
+            steps.append(CheckStep(instr.check_id, index,
+                                   tableau.measure(instr.op, random_bit=0)))
+    logical = None
+    if measure_logical is not None:
+        logical = tableau.measure(measure_logical, random_bit=0)
+    return Walk(checks=tuple(steps), logical=logical)
+
+
+def deterministic_checks(source: Program | Walk) -> frozenset[str]:
     """check_ids whose error-free outcome is forced to +1 regardless of coins.
 
-    Runs the lowered circuit once with symbolic outcome tracking: a check
+    A filter over :func:`walk` (walked here if a Program is given): a check
     qualifies iff its outcome is deterministic and independent of every
     random-event bit (so repeats that merely echo an earlier coin flip do
     not qualify).
     """
-    tableau: Tableau | None = None
+    steps = (source if isinstance(source, Walk) else walk(source)).checks
     out: set[str] = set()
-    for instr in program.instructions():
-        if isinstance(instr, Prepare):
-            tableau = prepare(dict(instr.pattern))
-        elif isinstance(instr, MeasureCheck):
-            result = tableau.measure(instr.op, random_bit=0)
-            if result.deterministic and result.aux == 0:
-                if result.outcome != 0:
-                    raise AssertionError(
-                        f"error-free deterministic check {instr.check_id} returned -1")
-                out.add(instr.check_id)
+    for step in steps:
+        if step.result.deterministic and step.result.aux == 0:
+            if step.result.outcome != 0:
+                raise AssertionError(
+                    f"error-free deterministic check {step.check_id} returned -1")
+            out.add(step.check_id)
     return frozenset(out)

@@ -194,3 +194,12 @@ def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
     code, out, err = invoke(capsys, ["layout", "-d", "3", "--out", str(target)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(target) in err
+
+
+def test_layout_rejects_rounds(capsys):
+    # the layout document describes round 1 only, so --rounds is not a flag of it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["layout", "-d", "3", "--rounds", "2"])
+    assert exc.value.code == 2
+    config = cli._config_from(cli.build_parser().parse_args(["layout", "-d", "3"]))
+    assert (config.distance, config.rounds) == (3, 1)

@@ -44,6 +44,22 @@ GOLDEN_STDOUT = {
         "47e55a78fc7ced0165feb6156deea92caa11a300eca00a0f9b4298a4acef44f4",
 }
 
+# (stdout, stderr) digests of sample runs whose summary goes to stderr: the
+# benchmark's sample-y5 command and a run with fixed Y and cancelling X
+# insertions under all-deterministic post-selection.
+GOLDEN_STDOUT_STDERR = {
+    ("sample", "-d", "5", "--rounds", "1", "--scheme", "inject-y", "-p", "0.01",
+     "--postselect", "figure-set", "--format", "csv", "--shots", "500",
+     "--seed", "1000"):
+        ("970d6a22575b782c23a55ce2281e3b682731a1f3ede6bacf6cc5c15c37ac16c8",
+         "4d57494a347262c0988f7095d2e61963fd45a230cfc5ce06d6d81a4427d302ca"),
+    ("sample", "-d", "3", "--rounds", "2", "--scheme", "memory-x", "-p", "0.1",
+     "--z-error-rate", "0.1", "--error", "Y:4", "--error", "X:4",
+     "--postselect", "all-deterministic", "--format", "jsonl", "--seed", "5"):
+        ("de941551d89d6d5c8116b432f3da4eb350f0a68a37ba75f3a88f42b4259de4b6",
+         "a00c525d394e849494ec89557f1be6b3c9af412d22d095d6e186e909544e9aa0"),
+}
+
 GOLDEN_ORACLE = "54a74f760c7b78feb0487de1a3b13e268c208618a608ad799b79842fb4ffaa67"
 
 
@@ -57,6 +73,14 @@ def test_cli_stdout_matches_golden_digest(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert digest(out) == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_STDERR), ids=" ".join)
+def test_cli_stdout_and_stderr_match_golden_digests(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert (digest(captured.out), digest(captured.err)) == GOLDEN_STDOUT_STDERR[argv]
 
 
 def test_oracle_records_with_mid_circuit_errors_match_golden_digest():
