@@ -1,9 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zxwebs import gf2
+from zxwebs import gf2, oracle, sampler, webs
+from zxwebs.surface import (
+    SCHEMES,
+    correlator_boundary_condition,
+    logical_operators,
+    scheme_circuit,
+)
+
+# the kernel under test, held before any test monkeypatches gf2.rref
+KERNEL = gf2.rref
 
 
 def reference_rank(a):
@@ -219,3 +229,149 @@ def test_solve_affine_matches_loop_reference(width):
             else:
                 assert np.array_equal(got, want)
     assert inconsistent > 0
+
+
+# -- the pivot loop the two-phase rref kernel replaced, kept as its referee --
+
+
+def loop_rref(matrix, col_order=None):
+    if col_order is None:
+        col_order = list(range(matrix.n_cols))
+    pivot_cols: list[int] = []
+    r = 0
+    for c in col_order:
+        if r >= matrix.n_rows:
+            break
+        col = matrix.column_bits(c)
+        hits = np.nonzero(col[r:])[0]
+        if hits.size == 0:
+            continue
+        matrix.swap_rows(r, r + int(hits[0]))
+        col = matrix.column_bits(c)
+        col[r] = 0
+        ones = np.nonzero(col)[0]
+        if ones.size:
+            matrix.data[ones] ^= matrix.data[r]
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols
+
+
+def copy_of(matrix):
+    copy = gf2.BitMatrix(matrix.n_rows, matrix.n_cols)
+    copy.data[:] = matrix.data
+    return copy
+
+
+def assert_rref_matches_loop(matrix, col_order=None):
+    """Run both kernels on copies of ``matrix``; return the kernel's result."""
+    want = copy_of(matrix)
+    want_pivots = loop_rref(want, col_order)
+    got = copy_of(matrix)
+    got_pivots = KERNEL(got, col_order)
+    assert got_pivots == want_pivots
+    assert np.array_equal(got.data, want.data)
+    return got, got_pivots
+
+
+def col_orders(rng, width):
+    """None, a full permutation, a partial order and one with duplicates."""
+    yield None
+    yield rng.permutation(width).tolist()
+    yield list(range(width // 2))
+    yield rng.integers(0, width, size=2 * width).tolist() if width else []
+
+
+@pytest.mark.parametrize("width", [0, 63, 64, 65, 129])
+def test_rref_matches_loop_on_random_matrices(width):
+    rng = np.random.default_rng(4000 + width)
+    for rows in (0, 1, width // 2, width + 7):
+        for density in (0.01, 0.05, 0.2, 0.5):
+            a = random_matrix(rng, rows, width, density)
+            for order in col_orders(rng, width):
+                assert_rref_matches_loop(gf2.BitMatrix.from_dense(a), order)
+
+
+def test_rref_matches_loop_on_augmented_blocks():
+    # the [A | b | I] shape solve_affine eliminates on its A columns only
+    rng = np.random.default_rng(41)
+    for rows, cols in [(5, 3), (40, 30), (70, 129)]:
+        a = random_matrix(rng, rows, cols, 0.1)
+        aug = np.hstack([a, rng.integers(0, 2, (rows, 1)), np.eye(rows, dtype=np.uint8)])
+        assert_rref_matches_loop(gf2.BitMatrix.from_dense(aug), list(range(cols)))
+
+
+@pytest.mark.parametrize("order", [[-1], [5], [0, 3]])
+def test_rref_rejects_columns_outside_the_matrix(order):
+    m = gf2.BitMatrix.from_dense(np.ones((2, 3), dtype=np.uint8))
+    before = m.data.copy()
+    with pytest.raises(ValueError, match="outside"):
+        gf2.rref(m, order)
+    assert np.array_equal(m.data, before)
+
+
+def test_solve_affine_rejects_rhs_of_the_wrong_length():
+    a = np.eye(3, dtype=np.uint8)
+    for rhs in ([1, 0], [0, 0, 0, 0], [0, 0, 0, 1]):
+        with pytest.raises(ValueError, match="rhs"):
+            gf2.solve_affine(a, np.array(rhs, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_rref_matches_loop_on_every_pipeline_call(monkeypatch, scheme, d, rounds):
+    """Every elimination solve, web_space, detectors and OutcomeModel make."""
+    cells = []
+
+    def refereed(matrix, col_order=None):
+        reduced, pivots = assert_rref_matches_loop(matrix, col_order)
+        matrix.data[:] = reduced.data
+        cells.append(matrix.n_rows * matrix.n_cols)
+        return pivots
+
+    monkeypatch.setattr(gf2, "rref", refereed)
+    layout, diagram, logical = scheme_circuit(d, scheme, rounds)
+    webs.web_space(diagram)
+    infeasible = 0
+    for op in logical_operators(layout):
+        bc = correlator_boundary_condition(diagram, op)
+        web = webs.solve(diagram, bc)
+        if isinstance(web, webs.Infeasible):
+            infeasible += 1
+            # the witness comes from solve_affine's history rows
+            with monkeypatch.context() as loop:
+                loop.setattr(gf2, "rref", loop_rref)
+                assert webs.solve(diagram, bc) == web
+    sampler.OutcomeModel(oracle.lower(diagram), logical)
+    assert len(cells) > 8
+    assert infeasible or scheme != "inject-y"   # its Z correlator is infeasible
+
+
+@pytest.fixture(scope="module")
+def constraints_d9r3():
+    _, diagram, _ = scheme_circuit(9, "inject-y", 3)
+    return webs.spider_constraints(diagram).matrix
+
+
+def traced_peak(fn, *args):
+    """The peak of traced allocations during ``fn(*args)``, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_nullspace_and_solve_affine_make_no_full_size_uint8_copy(constraints_d9r3):
+    a = constraints_d9r3
+    assert a.dtype == np.uint8 and a.nbytes > 8_000_000
+    # packed rows, Python-int rows and the column index take about a.nbytes / 8
+    # each, twice that for the [A | b | I] rows of solve_affine: about 0.5 and
+    # 0.6 in all. One full-size uint8 temporary alone would take a.nbytes.
+    peak, basis = traced_peak(gf2.nullspace, a)
+    assert (peak - basis.nbytes) / a.nbytes < 0.8
+    peak, (x, _) = traced_peak(gf2.solve_affine, a, np.zeros(len(a), dtype=np.uint8))
+    assert (peak - x.nbytes) / a.nbytes < 0.8

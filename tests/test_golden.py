@@ -60,6 +60,16 @@ GOLDEN_STDOUT_STDERR = {
          "a00c525d394e849494ec89557f1be6b3c9af412d22d095d6e186e909544e9aa0"),
 }
 
+# (exit code, stderr) digests of infeasible correlators on the default
+# inject-y scheme: the stderr names the spiders and pinned legs of the
+# ``solve_affine`` witness, so it pins the eliminator's row history.
+GOLDEN_INFEASIBLE = {
+    ("webs", "-d", "3", "--correlator", "Z"):
+        (1, "cf8edcd43593db34ad79d6262c4430a65bcc39354a367aaa12c3d5774b4baf03"),
+    ("webs", "-d", "5", "--rounds", "2", "--correlator", "Z"):
+        (1, "ddb834725f0eb54e313792232e6873bda7c82d3168a3a876d3f303666019ec74"),
+}
+
 GOLDEN_ORACLE = "54a74f760c7b78feb0487de1a3b13e268c208618a608ad799b79842fb4ffaa67"
 
 
@@ -81,6 +91,14 @@ def test_cli_stdout_and_stderr_match_golden_digests(capsys, argv):
     captured = capsys.readouterr()
     assert code == 0
     assert (digest(captured.out), digest(captured.err)) == GOLDEN_STDOUT_STDERR[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_INFEASIBLE), ids=" ".join)
+def test_infeasible_witness_matches_golden_digest(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (code, digest(captured.err)) == GOLDEN_INFEASIBLE[argv]
 
 
 def test_oracle_records_with_mid_circuit_errors_match_golden_digest():
