@@ -1,9 +1,10 @@
 """Independent stabilizer-tableau oracle for the surface-code diagrams.
 
 The tableau follows the Aaronson-Gottesman CHP layout: 2n generator rows
-(n destabilizers then n stabilizers) with X/Z bit matrices and a sign bit
-per row, using the Hermitian convention P(x,z) = i^{xz} X^x Z^z. On top of
-the standard machinery this tableau tracks, per row, which random
+(n destabilizers then n stabilizers), each three Python ints: an X mask and
+a Z mask (bit q is qubit q) and a sign bit, in the Hermitian convention
+P(x,z) = i^{xz} X^x Z^z; rows multiply by XOR and :func:`phase_exponent`.
+On top of the standard machinery this tableau tracks, per row, which random
 measurement outcomes its sign depends on (a bitmask of "random events"),
 so forced-outcome analysis can tell apart "deterministically +1" from
 "determined by earlier coin flips".
@@ -25,11 +26,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from . import gf2
 from .diagram import Color, Diagram, Kind, Node
 from .pauli import PauliOperator, phase_exponent
 from .surface import InitPattern, InitState
@@ -62,50 +61,51 @@ class MeasureResult:
 
 
 class Tableau:
-    """Stabilizer/destabilizer tableau with native multi-qubit Pauli measurement."""
+    """Stabilizer/destabilizer tableau with native multi-qubit Pauli measurement.
+
+    Row r is the masks ``x[r]``, ``z[r]``, the sign bit ``signs[r]`` and ``aux[r]``.
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one qubit")
         self.n = n
-        self.xs = np.zeros((2 * n, n), dtype=np.uint8)
-        self.zs = np.zeros((2 * n, n), dtype=np.uint8)
-        self.signs = np.zeros(2 * n, dtype=np.uint8)
+        self.x = [1 << q for q in range(n)] + [0] * n   # destabilizers X_q
+        self.z = [0] * n + [1 << q for q in range(n)]   # stabilizers Z_q
+        self.signs = [0] * (2 * n)
         self.aux = [0] * (2 * n)
         self.random_events = 0
-        for q in range(n):
-            self.xs[q, q] = 1          # destabilizer X_q
-            self.zs[n + q, q] = 1      # stabilizer Z_q
 
     # -- helpers --
 
-    def _op_vectors(self, op: PauliOperator) -> tuple[np.ndarray, np.ndarray, int]:
+    def _op_masks(self, op: PauliOperator) -> tuple[int, int, int]:
         if op.n != self.n:
             raise ValueError(f"operator acts on {op.n} qubits, tableau has {self.n}")
-        return op.vectors
+        return op.masks
 
-    def _anticommute_mask(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        overlap = self.xs.astype(np.int16) @ z.astype(np.int16) \
-            + self.zs.astype(np.int16) @ x.astype(np.int16)
-        return (overlap % 2).astype(np.uint8)
+    def _anticommuting(self, x: int, z: int) -> list[int]:
+        """Rows that anticommute with P(x, z), in increasing order."""
+        return [r for r, rx, rz in zip(range(2 * self.n), self.x, self.z)
+                if (overlap := (rx & z) ^ (rz & x)) and overlap.bit_count() & 1]
 
     def _rowmult(self, h: int, i: int) -> None:
         """row_h := row_i * row_h, with exact sign tracking."""
-        exponent = phase_exponent(self.xs[i], self.zs[i], self.xs[h], self.zs[h])
-        total = (2 * int(self.signs[i]) + 2 * int(self.signs[h]) + exponent) % 4
+        exponent = phase_exponent(self.x[i], self.z[i], self.x[h], self.z[h])
+        total = (2 * self.signs[i] + 2 * self.signs[h] + exponent) % 4
         if total % 2:
             raise AssertionError("row product is anti-Hermitian; tableau corrupted")
         self.signs[h] = total // 2
-        self.xs[h] ^= self.xs[i]
-        self.zs[h] ^= self.zs[i]
+        self.x[h] ^= self.x[i]
+        self.z[h] ^= self.z[i]
         self.aux[h] ^= self.aux[i]
 
     # -- operations --
 
     def apply_pauli(self, op: PauliOperator) -> None:
         """Conjugate the state by a Pauli: flips signs of anticommuting rows."""
-        x, z, _ = self._op_vectors(op)
-        self.signs ^= self._anticommute_mask(x, z)
+        x, z, _ = self._op_masks(op)
+        for r in self._anticommuting(x, z):
+            self.signs[r] ^= 1
 
     def measure(self, op: PauliOperator, random_bit: int | None = None) -> MeasureResult:
         """Measure a (multi-qubit) Pauli, updating the state.
@@ -115,67 +115,46 @@ class Tableau:
         (which the caller must supply, enabling both seeded sampling and
         forced-outcome post-selection) and the tableau is projected.
         """
-        x, z, sign_bit = self._op_vectors(op)
-        anti = self._anticommute_mask(x, z)
-        stab_hits = np.nonzero(anti[self.n:])[0]
-        if stab_hits.size:
-            p = self.n + int(stab_hits[0])
+        n = self.n
+        x, z, sign_bit = self._op_masks(op)
+        hits = self._anticommuting(x, z)
+        if hits and hits[-1] >= n:
+            p = next(h for h in hits if h >= n)
             if random_bit is None:
                 raise ValueError("measurement outcome is random: a random bit is required")
-            for h in np.nonzero(anti)[0]:
-                h = int(h)
-                if h == p or h == p - self.n:
-                    continue  # the partner destabilizer is overwritten below
-                self._rowmult(h, p)
-            self.xs[p - self.n] = self.xs[p].copy()
-            self.zs[p - self.n] = self.zs[p].copy()
-            self.signs[p - self.n] = self.signs[p]
-            self.aux[p - self.n] = self.aux[p]
-            event = 1 << self.random_events
+            for h in hits:
+                if h != p and h != p - n:  # the partner destabilizer is overwritten below
+                    self._rowmult(h, p)
+            for row in (self.x, self.z, self.signs, self.aux):
+                row[p - n] = row[p]
+            event, outcome = 1 << self.random_events, random_bit & 1
             self.random_events += 1
-            outcome = random_bit & 1
-            self.xs[p] = x
-            self.zs[p] = z
-            self.signs[p] = (outcome + sign_bit) % 2
-            self.aux[p] = event
+            self.x[p], self.z[p], self.signs[p], self.aux[p] = x, z, (outcome + sign_bit) % 2, event
             return MeasureResult(outcome=outcome, deterministic=False, aux=event)
         # deterministic: express op as a product of stabilizers via destabilizers
-        sx = np.zeros(self.n, dtype=np.uint8)
-        sz = np.zeros(self.n, dtype=np.uint8)
-        phase = 0
-        aux_mask = 0
-        for j in range(self.n):
-            if anti[j]:
-                s = self.n + j
-                phase = (phase + 2 * int(self.signs[s])
-                         + phase_exponent(sx, sz, self.xs[s], self.zs[s])) % 4
-                sx ^= self.xs[s]
-                sz ^= self.zs[s]
-                aux_mask ^= self.aux[s]
-        if not (np.array_equal(sx, x) and np.array_equal(sz, z)) or phase % 2:
+        sx = sz = phase = aux_mask = 0
+        for s in (n + j for j in hits):
+            phase = (phase + 2 * self.signs[s] + phase_exponent(sx, sz, self.x[s], self.z[s])) % 4
+            sx, sz, aux_mask = sx ^ self.x[s], sz ^ self.z[s], aux_mask ^ self.aux[s]
+        if sx != x or sz != z or phase % 2:
             raise AssertionError("deterministic measurement did not reproduce the operator")
         outcome = (phase // 2 + sign_bit) % 2
         return MeasureResult(outcome=outcome, deterministic=True, aux=aux_mask)
 
-    def row_operator(self, row: int) -> PauliOperator:
-        return PauliOperator.from_bits(self.xs[row], self.zs[row], self.signs[row])
-
     def stabilizers(self) -> list[PauliOperator]:
-        return [self.row_operator(self.n + i) for i in range(self.n)]
+        return [PauliOperator.from_masks(self.n, self.x[r], self.z[r], self.signs[r])
+                for r in range(self.n, 2 * self.n)]
 
     def check_valid(self) -> None:
-        """Commutation and rank sanity checks (debug aid)."""
-        for i in range(self.n, 2 * self.n):
-            anti = self._anticommute_mask(self.xs[i], self.zs[i])
-            if anti[self.n:].any():
+        """Commutation sanity checks (debug aid); they imply full rank, as the
+        rows' symplectic Gram matrix is then [[*, I], [I, 0]], invertible."""
+        n = self.n
+        for i in range(n, 2 * n):
+            hits = self._anticommuting(self.x[i], self.z[i])
+            if hits and hits[-1] >= n:
                 raise AssertionError("stabilizer rows do not pairwise commute")
-            expected = np.zeros(self.n, dtype=np.uint8)
-            expected[i - self.n] = 1
-            if not np.array_equal(anti[: self.n], expected):
+            if hits != [i - n]:
                 raise AssertionError("destabilizer pairing broken")
-        full = np.concatenate([self.xs, self.zs], axis=1)
-        if gf2.rank(full) != 2 * self.n:
-            raise AssertionError("tableau lost full rank")
 
 
 def prepare(pattern: InitPattern) -> Tableau:
@@ -187,19 +166,18 @@ def prepare(pattern: InitPattern) -> Tableau:
         raise ValueError("init pattern must use contiguous qubit indices 0..n-1")
     t = Tableau(n)
     for q in range(n):
-        state = pattern[q]
+        state, bit = pattern[q], 1 << q
         if state is InitState.ZERO:
             continue  # default rows already Z_q / X_q
         if state is InitState.PLUS:
             # stabilizer X_q, destabilizer Z_q
-            t.xs[n + q, q], t.zs[n + q, q] = 1, 0
-            t.xs[q, q], t.zs[q, q] = 0, 1
+            t.x[n + q], t.z[n + q] = bit, 0
         elif state is InitState.Y:
             # stabilizer Y_q, destabilizer Z_q
-            t.xs[n + q, q], t.zs[n + q, q] = 1, 1
-            t.xs[q, q], t.zs[q, q] = 0, 1
+            t.x[n + q], t.z[n + q] = bit, bit
         else:
             raise ValueError(f"unknown init state {state!r}")
+        t.x[q], t.z[q] = 0, bit
     return t
 
 
@@ -207,39 +185,40 @@ def canonical_group(n: int, generators: Iterable[PauliOperator]) -> tuple[PauliO
     """Canonical generating set of a stabilizer group (RREF with signs).
 
     Two generator lists describe the same group iff their canonical forms
-    are equal. Raises if the generators are inconsistent (-I in the group).
+    are equal. Raises if two generators anticommute or if the generators
+    are inconsistent (-I in the group).
     """
-    rows: list[tuple[np.ndarray, np.ndarray, int]] = []
+    rows: list[tuple[int, int, int]] = []
     for op in generators:
         if op.n != n:
             raise ValueError("generator qubit count mismatch")
-        rows.append(op.vectors)
+        rows.append(op.masks)
+    if any(((xa & zb) ^ (za & xb)).bit_count() & 1
+           for (xa, za, _), (xb, zb, _) in combinations(rows, 2)):
+        raise ValueError("generators do not commute")
 
-    def mul(a, b):
+    def mul(a, b):  # commuting Hermitian factors: the exponent is even
         exponent = (2 * a[2] + 2 * b[2] + phase_exponent(a[0], a[1], b[0], b[1])) % 4
-        if exponent % 2:
-            raise ValueError("generators do not commute")
         return (a[0] ^ b[0], a[1] ^ b[1], exponent // 2)
 
     r = 0
     for col in range(2 * n):
-        def bit(row):
-            return row[0][col] if col < n else row[1][col - n]
-        pivot = next((k for k in range(r, len(rows)) if bit(rows[k])), None)
+        part, bit = (0, 1 << col) if col < n else (1, 1 << (col - n))
+        pivot = next((k for k in range(r, len(rows)) if rows[k][part] & bit), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         for k in range(len(rows)):
-            if k != r and bit(rows[k]):
+            if k != r and rows[k][part] & bit:
                 rows[k] = mul(rows[r], rows[k])
         r += 1
     out = []
     for x, z, sign in rows:
-        if not x.any() and not z.any():
+        if not x and not z:
             if sign:
                 raise ValueError("-identity generated; inconsistent generator set")
             continue
-        out.append(PauliOperator.from_bits(x, z, sign))
+        out.append(PauliOperator.from_masks(n, x, z, sign))
     return tuple(out)
 
 

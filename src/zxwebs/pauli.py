@@ -12,17 +12,27 @@ _LETTERS = ("X", "Y", "Z")
 _LETTER_OF_CODE = ("I", "X", "Z", "Y")
 
 
+def _bit_mask(bits) -> int:
+    """Int mask of a 0/1 row (bit q is ``bits[q]``); a scalar is a mask already."""
+    if np.ndim(bits) == 0:
+        return int(bits)
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8) & 1, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
 def phase_exponent(xa, za, xb, zb) -> int:
     """Power of i picked up by the word product P(xa,za) * P(xb,zb).
 
     Uses the Hermitian convention P(x,z) = i^{xz} X^x Z^z, so on one qubit
-    X*Y = iZ gives 1 and Y*X = -iZ gives 3. The arguments are 0/1 bits or
-    whole rows of them; a word's exponent is the sum of its qubits' mod 4
+    X*Y = iZ gives 1 and Y*X = -iZ gives 3. The arguments are int masks
+    (bit q is qubit q); 0/1 rows are packed into masks first. A word's
+    exponent is the sum of its qubits' mod 4, so it is a sum of popcounts
     (Aaronson and Gottesman, arXiv:quant-ph/0406196).
     """
-    count = np.count_nonzero
-    return int(count(xa & za) + count(xb & zb) + 2 * count(za & xb)
-               - count((xa ^ xb) & (za ^ zb))) % 4
+    if {type(xa), type(za), type(xb), type(zb)} != {int}:
+        xa, za, xb, zb = map(_bit_mask, (xa, za, xb, zb))
+    return ((xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
+            - ((xa ^ xb) & (za ^ zb)).bit_count()) % 4
 
 
 @dataclass(frozen=True)
@@ -56,12 +66,18 @@ class PauliOperator:
         return cls(n, tuple(mapping.items()), sign)
 
     @classmethod
+    def from_masks(cls, n: int, x: int, z: int, sign_bit: int = 0) -> "PauliOperator":
+        """The operator with int masks x, z (bit q is qubit q) and sign (-1)^sign_bit."""
+        paulis = tuple((q, _LETTER_OF_CODE[(x >> q & 1) | (z >> q & 1) << 1])
+                       for q in range((x | z).bit_length()) if (x | z) >> q & 1)
+        op = cls(n, paulis, -1 if sign_bit & 1 else 1)
+        op.__dict__["masks"] = (x, z, sign_bit & 1)  # fill the cached view
+        return op
+
+    @classmethod
     def from_bits(cls, x, z, sign_bit: int = 0) -> "PauliOperator":
         """The operator with dense bit vectors x, z and sign (-1)^sign_bit."""
-        codes = (np.asarray(x, dtype=np.uint8) & 1) | (np.asarray(z, dtype=np.uint8) & 1) << 1
-        support = np.flatnonzero(codes)
-        letters = [_LETTER_OF_CODE[c] for c in codes[support].tolist()]
-        return cls(len(codes), tuple(zip(support.tolist(), letters)), -1 if sign_bit & 1 else 1)
+        return cls.from_masks(len(x), _bit_mask(x), _bit_mask(z), sign_bit)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str, sign: int = 1) -> "PauliOperator":
@@ -84,11 +100,16 @@ class PauliOperator:
     @cached_property
     def vectors(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Read-only dense x and z bit vectors, and the sign bit."""
-        codes = np.zeros(self.n, dtype=np.uint8)
-        for q, letter in self.paulis:
-            codes[q] = _LETTER_OF_CODE.index(letter)
-        x, z = codes & 1, codes >> 1
+        x, z = (np.array([m >> q & 1 for q in range(self.n)], dtype=np.uint8)
+                for m in self.masks[:2])
         x.flags.writeable = z.flags.writeable = False
+        return x, z, self.masks[2]
+
+    @cached_property
+    def masks(self) -> tuple[int, int, int]:
+        """Int x and z masks (bit q is qubit q), and the sign bit."""
+        x = sum(1 << q for q, letter in self.paulis if letter != "Z")
+        z = sum(1 << q for q, letter in self.paulis if letter != "X")
         return x, z, 0 if self.sign == 1 else 1
 
     def x_bits(self) -> frozenset[int]:
@@ -106,12 +127,11 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError("operators act on different qubit counts")
-        xa, za, sa = self.vectors
-        xb, zb, sb = other.vectors
+        (xa, za, sa), (xb, zb, sb) = self.masks, other.masks
         exponent = (2 * (sa + sb) + phase_exponent(xa, za, xb, zb)) % 4
         if exponent % 2:
             raise ValueError("product is anti-Hermitian (phase ±i); reorder factors")
-        return PauliOperator.from_bits(xa ^ xb, za ^ zb, exponent // 2)
+        return PauliOperator.from_masks(self.n, xa ^ xb, za ^ zb, exponent // 2)
 
     def negated(self) -> "PauliOperator":
         return PauliOperator(self.n, self.paulis, -self.sign)

@@ -1,11 +1,15 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
+from zxwebs import oracle
 from zxwebs.oracle import (
     ApplyPauli,
     LoweringError,
     MeasureCheck,
+    MeasureResult,
     Prepare,
     canonical_group,
     canonical_stabilizer_group,
@@ -15,12 +19,14 @@ from zxwebs.oracle import (
     lower,
     prepare,
     run,
+    walk,
 )
 from zxwebs.pauli import PauliOperator
-from zxwebs.surface import InitState, injection_pattern, build_layout
+from zxwebs.surface import SCHEMES, InitState, build_layout, injection_pattern, scheme_circuit
 from zxwebs.webs import PauliErrorSet
 
 from conftest import make_diagram
+from test_pauli import int16_word_product
 
 
 def op(n, mapping, sign=1):
@@ -141,12 +147,23 @@ def test_measurement_statistics_chi_square():
 def test_canonical_group_invariance():
     a = op(3, {0: "X", 1: "X"})
     b = op(3, {1: "X", 2: "X"})
-    c = op(3, {0: "Z"}, sign=-1)
+    c = op(3, {0: "Z", 1: "Z", 2: "Z"}, sign=-1)
     left = canonical_group(3, [a, b, c])
     right = canonical_group(3, [b, a * b, c])
     assert left == right
     with pytest.raises(ValueError, match="identity"):
         canonical_group(3, [a, a.negated()])
+
+
+@pytest.mark.parametrize("n,generators", [
+    (1, [{0: "X"}, {0: "Z"}]),
+    (2, [{0: "X", 1: "X"}, {0: "Z"}]),
+    (1, [{0: "X"}, {0: "Y"}]),
+    (3, [{0: "X", 1: "X"}, {1: "X", 2: "X"}, {0: "Z"}]),
+])
+def test_canonical_group_rejects_anticommuting_generators(n, generators):
+    with pytest.raises(ValueError, match="do not commute"):
+        canonical_group(n, [op(n, g) for g in generators])
 
 
 def test_lower_counts_memory_z_d3():
@@ -293,3 +310,178 @@ def test_shot_record_json_is_stable(inj3):
     line = run(lower(diag), seed=3).to_json()
     assert line == run(lower(diag), seed=3).to_json()
     assert line.startswith('{"outcomes":')
+
+
+# -- the uint8/int16 tableau the int-mask rows replaced, kept as a referee -----
+
+
+class ReferenceTableau:
+    """CHP tableau on uint8 row matrices with an int16 anticommutation mat-vec."""
+
+    def __init__(self, n):
+        self.n = n
+        self.xs = np.zeros((2 * n, n), dtype=np.uint8)
+        self.zs = np.zeros((2 * n, n), dtype=np.uint8)
+        self.signs = np.zeros(2 * n, dtype=np.uint8)
+        self.aux = [0] * (2 * n)
+        self.random_events = 0
+        for q in range(n):
+            self.xs[q, q] = 1
+            self.zs[n + q, q] = 1
+
+    def _anticommute_mask(self, x, z):
+        overlap = self.xs.astype(np.int16) @ z.astype(np.int16) \
+            + self.zs.astype(np.int16) @ x.astype(np.int16)
+        return (overlap % 2).astype(np.uint8)
+
+    def _rowmult(self, h, i):
+        exponent = int16_word_product(self.xs[i], self.zs[i], self.xs[h], self.zs[h])
+        total = (2 * int(self.signs[i]) + 2 * int(self.signs[h]) + exponent) % 4
+        assert total % 2 == 0
+        self.signs[h] = total // 2
+        self.xs[h] ^= self.xs[i]
+        self.zs[h] ^= self.zs[i]
+        self.aux[h] ^= self.aux[i]
+
+    def apply_pauli(self, op):
+        x, z, _ = op.vectors
+        self.signs ^= self._anticommute_mask(x, z)
+
+    def measure(self, op, random_bit=None):
+        x, z, sign_bit = op.vectors
+        anti = self._anticommute_mask(x, z)
+        stab_hits = np.nonzero(anti[self.n:])[0]
+        if stab_hits.size:
+            p = self.n + int(stab_hits[0])
+            if random_bit is None:
+                raise ValueError("measurement outcome is random: a random bit is required")
+            for h in np.nonzero(anti)[0]:
+                h = int(h)
+                if h != p and h != p - self.n:
+                    self._rowmult(h, p)
+            self.xs[p - self.n] = self.xs[p].copy()
+            self.zs[p - self.n] = self.zs[p].copy()
+            self.signs[p - self.n] = self.signs[p]
+            self.aux[p - self.n] = self.aux[p]
+            event = 1 << self.random_events
+            self.random_events += 1
+            outcome = random_bit & 1
+            self.xs[p], self.zs[p] = x, z
+            self.signs[p] = (outcome + sign_bit) % 2
+            self.aux[p] = event
+            return MeasureResult(outcome=outcome, deterministic=False, aux=event)
+        sx = np.zeros(self.n, dtype=np.uint8)
+        sz = np.zeros(self.n, dtype=np.uint8)
+        phase = aux_mask = 0
+        for j in np.nonzero(anti[:self.n])[0]:
+            s = self.n + int(j)
+            phase = (phase + 2 * int(self.signs[s])
+                     + int16_word_product(sx, sz, self.xs[s], self.zs[s])) % 4
+            sx ^= self.xs[s]
+            sz ^= self.zs[s]
+            aux_mask ^= self.aux[s]
+        assert np.array_equal(sx, x) and np.array_equal(sz, z) and phase % 2 == 0
+        return MeasureResult(outcome=(phase // 2 + sign_bit) % 2, deterministic=True,
+                             aux=aux_mask)
+
+    def canonical_group(self):
+        """RREF of the stabilizer rows with signs, columns x_0..x_{n-1}, z_0..z_{n-1}."""
+        n = self.n
+        rows = [(self.xs[i].copy(), self.zs[i].copy(), int(self.signs[i]))
+                for i in range(n, 2 * n)]
+        r = 0
+        for col in range(2 * n):
+            bits = [row[0][col] if col < n else row[1][col - n] for row in rows]
+            pivot = next((k for k in range(r, n) if bits[k]), None)
+            if pivot is None:
+                continue
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            bits[r], bits[pivot] = bits[pivot], bits[r]
+            for k in range(n):
+                if k != r and bits[k]:
+                    (xa, za, sa), (xb, zb, sb) = rows[r], rows[k]
+                    exponent = (2 * sa + 2 * sb + int16_word_product(xa, za, xb, zb)) % 4
+                    assert exponent % 2 == 0
+                    rows[k] = (xa ^ xb, za ^ zb, exponent // 2)
+            r += 1
+        return tuple(PauliOperator.from_bits(x, z, sign) for x, z, sign in rows
+                     if x.any() or z.any())
+
+
+def reference_prepare(pattern):
+    n = len(pattern)
+    t = ReferenceTableau(n)
+    for q, state in pattern.items():
+        if state is InitState.ZERO:
+            continue
+        t.xs[n + q, q], t.zs[n + q, q] = 1, int(state is InitState.Y)
+        t.xs[q, q], t.zs[q, q] = 0, 1
+    return t
+
+
+def random_word(rng, n):
+    weight = rng.randint(1, n) if rng.random() < 0.3 else rng.randint(1, min(n, 4))
+    support = rng.sample(range(n), weight)
+    return op(n, {q: rng.choice("XYZ") for q in support}, sign=rng.choice((1, -1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 25, 63, 64, 65, 81])
+def test_tableau_matches_uint8_reference_on_random_sequences(n):
+    rng = random.Random(n)
+    pattern = {q: rng.choice(list(InitState)) for q in range(n)}
+    tableau, reference = prepare(pattern), reference_prepare(pattern)
+    measured = []
+    kinds = {"random": 0, "forced": 0, "forced-on-coins": 0}
+    for _ in range(60 if n <= 25 else 25):
+        roll = rng.random()
+        if roll < 0.15:
+            word = random_word(rng, n)
+            tableau.apply_pauli(word)
+            reference.apply_pauli(word)
+        else:
+            word = random_word(rng, n)
+            if measured and roll < 0.55:
+                # an earlier measurement, or a product of two: forced outcomes
+                word = rng.choice(measured)
+                other = rng.choice(measured)
+                if word.commutes_with(other) and rng.random() < 0.5:
+                    word = word * other
+            bit = None if rng.random() < 0.1 else rng.randint(0, 1)
+            try:
+                expected = reference.measure(word, random_bit=bit)
+            except ValueError:
+                with pytest.raises(ValueError, match="random bit"):
+                    tableau.measure(word, random_bit=bit)
+                continue
+            assert tableau.measure(word, random_bit=bit) == expected
+            measured.append(word)
+            kinds["random" if not expected.deterministic
+                  else "forced-on-coins" if expected.aux else "forced"] += 1
+        assert canonical_stabilizer_group(tableau) == reference.canonical_group()
+    tableau.check_valid()
+    assert tableau.aux[n:] == reference.aux[n:]
+    assert all(kinds.values()), kinds
+
+
+def random_errors(rng, diag, structure):
+    edges = [edge for q in range(structure.n) for edge in structure.world_edges(q)]
+    items = [(rng.choice(edges), rng.choice("XYZ")) for _ in range(rng.choice((1, 2, 3)))]
+    return PauliErrorSet.of(diag, items)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_walk_and_run_match_uint8_reference(scheme, d, rounds, monkeypatch):
+    _, diag, logical = scheme_circuit(d, scheme, rounds)
+    program = lower(diag)
+    rng = random.Random(f"{scheme}{d}{rounds}")
+    shots = [dict(errors=random_errors(rng, diag, program.structure), seed=rng.randint(0, 99),
+                  shot=k, postselect=sorted(deterministic_checks(program)),
+                  measure_logical=logical)
+             for k in range(4)]
+    expected_walk = walk(program, logical)
+    expected_runs = [run(program, **kwargs) for kwargs in shots]
+    monkeypatch.setattr(oracle, "prepare", reference_prepare)
+    assert walk(program, logical) == expected_walk
+    assert [run(program, **kwargs) for kwargs in shots] == expected_runs

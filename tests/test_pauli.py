@@ -112,3 +112,19 @@ def test_cached_vectors_reject_writes():
     with pytest.raises(ValueError):
         z[0] ^= 1
     assert op == PauliOperator.from_dict(3, {0: "X", 2: "Y"})
+
+
+def test_masks_agree_with_vectors_and_round_trip():
+    rng = np.random.default_rng(11)
+    letters = ["X", "Y", "Z"]
+    for n in (1, 7, 64, 130):
+        ops = [PauliOperator.from_dict(
+            n, {q: letters[rng.integers(3)] for q in np.flatnonzero(rng.random(n) < 0.4).tolist()},
+            sign=int(rng.choice([1, -1]))) for _ in range(20)]
+        for a, b in zip(ops, ops[1:]):
+            x, z, sign_bit = a.masks
+            assert {q for q in range(n) if x >> q & 1} == a.x_bits()
+            assert {q for q in range(n) if z >> q & 1} == a.z_bits()
+            assert PauliOperator.from_masks(n, x, z, sign_bit) == a
+            assert phase_exponent(*a.masks[:2], *b.masks[:2]) == \
+                phase_exponent(*a.vectors[:2], *b.vectors[:2])
