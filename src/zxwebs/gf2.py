@@ -1,4 +1,8 @@
-"""Bit-packed GF(2) linear algebra: rows packed into uint64 words, reduced as Python ints."""
+"""GF(2) linear algebra on rows held as Python ints: bit c of a row is column c.
+
+Dense uint8 matrices are the module's interface; a :class:`BitMatrix` is the
+one stored row format in between, and :func:`rref` reduces its rows in place.
+"""
 
 from __future__ import annotations
 
@@ -6,76 +10,47 @@ import operator
 
 import numpy as np
 
-_WORD = 64
-_ONE = np.uint64(1)
-# Column c is bit c % 64 of word c // 64. Little-endian words viewed as bytes
-# put it at bit c % 8 of byte c // 8: numpy's "little" bit order.
-_WORDS = np.dtype("<u8")
 # Rows packed or unpacked per numpy call, so no uint8 temporary is full-size.
 _BLOCK = 512
 
 
 class BitMatrix:
-    """A dense GF(2) matrix whose rows are packed into 64-bit words.
+    """A GF(2) matrix with ``n_cols`` columns held as one Python int per row.
 
-    Row operations act on whole words; single-bit access is provided for
-    pivot bookkeeping.
+    Bit c of ``rows[r]`` is entry (r, c); no row has a bit at ``n_cols`` or above.
     """
 
-    def __init__(self, n_rows: int, n_cols: int):
-        self.n_rows = n_rows
+    def __init__(self, n_cols: int, rows: list[int]):
         self.n_cols = n_cols
-        self._words = max(1, (n_cols + _WORD - 1) // _WORD)
-        self.data = np.zeros((n_rows, self._words), dtype=_WORDS)
+        self.rows = rows
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
+        """The rows of a 0/1 matrix, taken mod 2."""
         dense = np.atleast_2d(np.asarray(dense))
-        m = cls(dense.shape[0], dense.shape[1])
-        _pack(m.data, dense)
-        return m
-
-    def get(self, r: int, c: int) -> int:
-        w, b = divmod(c, _WORD)
-        return int((self.data[r, w] >> np.uint64(b)) & _ONE)
-
-    def set(self, r: int, c: int, value: int) -> None:
-        w, b = divmod(c, _WORD)
-        if value & 1:
-            self.data[r, w] |= _ONE << np.uint64(b)
-        else:
-            self.data[r, w] &= ~(_ONE << np.uint64(b))
-
-    def column_bits(self, c: int) -> np.ndarray:
-        """All bits of column c as a uint8 vector of length n_rows."""
-        w, b = divmod(c, _WORD)
-        return ((self.data[:, w] >> np.uint64(b)) & _ONE).astype(np.uint8)
-
-    def swap_rows(self, i: int, j: int) -> None:
-        if i != j:
-            self.data[[i, j]] = self.data[[j, i]]
+        width = (dense.shape[1] + 7) // 8
+        rows = []
+        for start in range(0, len(dense), _BLOCK):
+            block = np.asarray(dense[start : start + _BLOCK], dtype=np.uint8) & 1
+            data = np.packbits(block, axis=1, bitorder="little").tobytes()
+            rows += [int.from_bytes(data[i * width : (i + 1) * width], "little")
+                     for i in range(len(block))]
+        return cls(dense.shape[1], rows)
 
     def to_dense(self) -> np.ndarray:
-        return _unpack(self.data, self.n_cols)
+        return _unpack(self.rows, self.n_cols)
 
 
-def _pack(words: np.ndarray, dense: np.ndarray) -> None:
-    """Write the columns of ``dense`` mod 2 into the leading bits of ``words``."""
-    for start in range(0, len(dense), _BLOCK):
-        block = np.asarray(dense[start : start + _BLOCK], dtype=np.uint8) & 1
-        packed = np.packbits(block, axis=1, bitorder="little")
-        words[start : start + _BLOCK].view(np.uint8)[:, : packed.shape[1]] = packed
-
-
-def _unpack(words: np.ndarray, n_cols: int) -> np.ndarray:
-    """Rows of packed words as a dense uint8 matrix with ``n_cols`` columns."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=n_cols, bitorder="little")
-
-
-def _set_bits(words: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Set bit (rows[k], cols[k]) for every k; each row may appear once."""
-    cols = np.asarray(cols)
-    words[rows, cols // _WORD] |= _ONE << (cols % _WORD).astype(np.uint64)
+def _unpack(rows: list[int], n_cols: int) -> np.ndarray:
+    """Int rows as a dense uint8 matrix with ``n_cols`` columns."""
+    width = (n_cols + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n_cols, bitorder="little")
 
 
 def _bits(x: int):
@@ -87,7 +62,7 @@ def _bits(x: int):
 
 
 def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
-    """Reduce ``matrix`` in place to RREF, visiting columns in ``col_order``.
+    """Reduce ``matrix.rows`` in place to RREF, visiting columns in ``col_order``.
 
     Returns the pivot columns in elimination order; pivot k lives in row k.
     Raises ``ValueError`` for a column outside ``[0, n_cols)``.
@@ -95,8 +70,8 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     The result is bit for bit that of the textbook loop: for each column in
     turn, swap the first row at or below position k with a 1 there into
     position k, XOR it into every other row with a 1 there, and move on to
-    k + 1. The kernel runs that loop in two phases on rows held as Python
-    ints, because the matrices are mostly zeros.
+    k + 1. The kernel runs that loop in two phases on the int rows, because
+    the matrices are mostly zeros.
 
     - Forward: for each searched column, an int over row ids marks the
       non-pivot rows with a 1 there. The pivot is the marked row with the
@@ -104,8 +79,8 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
       XORed only into the other marked rows, and the marks change only at
       the pivot row's own columns not yet visited.
     - Back-substitution, pivots in reverse: final_k = fwd_k XOR final_t for
-      every later pivot column c_t set in fwd_k. Rows are written back in
-      position order.
+      every later pivot column c_t set in fwd_k. The rows are then listed
+      in position order.
 
     Why the two agree. The loop XORs a pivot row into the rows below it
     exactly as the forward phase does, so the pivot choices, the swaps and
@@ -126,10 +101,7 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
                 raise ValueError(f"column {c} is outside [0, {n_cols})")
     if n_rows == 0:
         return []
-    row_bytes = matrix.data.shape[1] * _WORDS.itemsize
-    buf = memoryview(matrix.data).cast("B")
-    rows = [int.from_bytes(buf[i * row_bytes : (i + 1) * row_bytes], "little")
-            for i in range(n_rows)]
+    rows = matrix.rows
     unvisited = 0  # searched columns not yet visited, as one int
     for c in col_order:
         unvisited |= 1 << c
@@ -168,8 +140,7 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
         rows[p] = v
         later |= 1 << c
         row_of[c] = p
-    for t, i in enumerate(at):
-        buf[t * row_bytes : (t + 1) * row_bytes] = rows[i].to_bytes(row_bytes, "little")
+    rows[:] = [rows[i] for i in at]
     return pivot_cols
 
 
@@ -194,7 +165,7 @@ def nullspace(dense: np.ndarray) -> np.ndarray:
     # pivot row k holds the free-column coefficients of pivot variable k
     for start in range(0, len(pivot_cols), _BLOCK):
         cols = pivot_cols[start : start + _BLOCK]
-        block = _unpack(m.data[start : start + len(cols)], n_cols)
+        block = _unpack(m.rows[start : start + len(cols)], n_cols)
         basis[:, cols] = block[:, free_cols].T
     return basis
 
@@ -213,22 +184,16 @@ def solve_affine(
     n_rows, n_cols = dense.shape
     if rhs.shape != (n_rows,):
         raise ValueError(f"rhs has shape {rhs.shape} for {n_rows} rows")
-    # augmented block [A | b | I]: the identity tail records row history
-    aug = BitMatrix(n_rows, n_cols + 1 + n_rows)
-    _pack(aug.data, dense)
-    rows = np.arange(n_rows)
-    _set_bits(aug.data, np.flatnonzero(rhs), n_cols)
-    _set_bits(aug.data, rows, n_cols + 1 + rows)
+    # augmented rows [A | b | I]: the identity tail records row history
+    aug = BitMatrix(n_cols + 1 + n_rows, [
+        row | b << n_cols | 1 << (n_cols + 1 + i)
+        for i, (row, b) in enumerate(zip(BitMatrix.from_dense(dense).rows, rhs.tolist()))])
     pivot_cols = rref(aug, col_order=list(range(n_cols)))
-    n_pivots = len(pivot_cols)
-    rhs_bits = aug.column_bits(n_cols)
-    inconsistent = np.flatnonzero(rhs_bits[n_pivots:])
-    if inconsistent.size:
-        r = n_pivots + int(inconsistent[0])
-        history = _unpack(aug.data[r : r + 1], aug.n_cols)[0, n_cols + 1 :]
-        return None, np.flatnonzero(history).tolist()
+    for row in aug.rows[len(pivot_cols):]:
+        if row >> n_cols & 1:
+            return None, sorted(_bits(row >> (n_cols + 1)))
     x = np.zeros(n_cols, dtype=np.uint8)
-    x[pivot_cols] = rhs_bits[:n_pivots]
+    x[pivot_cols] = [row >> n_cols & 1 for row in aug.rows[: len(pivot_cols)]]
     return x, []
 
 
@@ -240,14 +205,12 @@ def lexmin_in_coset(
     Minimality is with respect to ``col_priority``: earlier columns are
     zeroed first whenever the coset allows it.
     """
-    x = (np.asarray(x0, dtype=np.uint8) & 1).copy()
-    basis = np.atleast_2d(np.asarray(basis, dtype=np.uint8) & 1)
-    if basis.size == 0:
-        return x
-    m = BitMatrix.from_dense(basis)
-    pivot_cols = rref(m, col_order=col_priority)
-    rows = m.to_dense()
-    for row_idx, pc in enumerate(pivot_cols):
-        if x[pc]:
-            x ^= rows[row_idx]
-    return x
+    x = BitMatrix.from_dense(x0)
+    if np.size(basis):
+        m = BitMatrix.from_dense(basis)
+        if m.n_cols != x.n_cols:
+            raise ValueError(f"basis has {m.n_cols} columns for a vector of {x.n_cols}")
+        for row, pc in zip(m.rows, rref(m, col_order=col_priority)):
+            if x.rows[0] >> pc & 1:
+                x.rows[0] ^= row
+    return x.to_dense()[0]

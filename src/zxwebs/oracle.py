@@ -32,7 +32,9 @@ from typing import Iterable, Mapping
 from .diagram import Color, Diagram, Kind, Node
 from .pauli import PauliOperator, phase_exponent
 from .surface import InitPattern, InitState
-from .webs import PauliErrorSet
+
+# a Pauli insertion on a diagram edge: ((node, node), "X" | "Y" | "Z")
+Insertion = tuple[tuple[str, str], str]
 
 
 # -- counter-based randomness -------------------------------------------------
@@ -397,16 +399,18 @@ class Program:
     structure: DiagramStructure
     layers: tuple[tuple[MeasureCheck, ...], ...]  # layers[k - 1]: layer k, in order
 
-    def instructions(self, errors: PauliErrorSet | None = None) -> list[Instruction]:
+    def instructions(self, errors: Iterable[Insertion] = ()) -> list[Instruction]:
         """Instruction stream: prepare, then whole-plaquette measurements in order.
 
-        Error insertions are placed right after the measurements of the layer
-        below their edge (layer 0 inserts immediately after preparation).
-        Errors on non-world-line edges are not representable and are rejected.
+        ``errors`` are (edge, letter) insertions, such as a
+        :class:`zxwebs.webs.PauliErrorSet`. Each is placed right after the
+        measurements of the layer below its edge (layer 0 inserts immediately
+        after preparation). Errors on non-world-line edges are not
+        representable and are rejected.
         """
         d, edge_slots = self.diagram, self.structure.edge_slots
         slots: dict[int, list[ApplyPauli]] = {}
-        for edge, letter in errors.insertions if errors is not None else ():
+        for edge, letter in errors:
             key = d.edge_key(*edge)
             if key not in edge_slots:
                 raise LoweringError(
@@ -458,7 +462,7 @@ class ShotRecord:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def run(program: Program, errors: PauliErrorSet | None = None, *, seed: int = 0,
+def run(program: Program, errors: Iterable[Insertion] = (), *, seed: int = 0,
         shot: int = 0, postselect: Iterable[str] | None = None,
         measure_logical: PauliOperator | None = None,
         forced_outcomes: Mapping[str, int] | None = None) -> ShotRecord:

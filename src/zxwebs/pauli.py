@@ -1,36 +1,28 @@
-"""Sparse signed Pauli operators on n qubits."""
+"""Sparse signed Pauli operators on n qubits, with int-mask views.
+
+An operator's x and z parts are also held as Python-int masks (bit q is
+qubit q), the row format of the stabilizer tableau in :mod:`zxwebs.oracle`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 _LETTERS = ("X", "Y", "Z")
 # letter of each 2-bit code x + 2 z
 _LETTER_OF_CODE = ("I", "X", "Z", "Y")
 
 
-def _bit_mask(bits) -> int:
-    """Int mask of a 0/1 row (bit q is ``bits[q]``); a scalar is a mask already."""
-    if np.ndim(bits) == 0:
-        return int(bits)
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8) & 1, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def phase_exponent(xa, za, xb, zb) -> int:
+def phase_exponent(xa: int, za: int, xb: int, zb: int) -> int:
     """Power of i picked up by the word product P(xa,za) * P(xb,zb).
 
     Uses the Hermitian convention P(x,z) = i^{xz} X^x Z^z, so on one qubit
     X*Y = iZ gives 1 and Y*X = -iZ gives 3. The arguments are int masks
-    (bit q is qubit q); 0/1 rows are packed into masks first. A word's
-    exponent is the sum of its qubits' mod 4, so it is a sum of popcounts
-    (Aaronson and Gottesman, arXiv:quant-ph/0406196).
+    (bit q is qubit q). A word's exponent is the sum of its qubits' mod 4,
+    so it is a sum of popcounts (Aaronson and Gottesman,
+    arXiv:quant-ph/0406196).
     """
-    if {type(xa), type(za), type(xb), type(zb)} != {int}:
-        xa, za, xb, zb = map(_bit_mask, (xa, za, xb, zb))
     return ((xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
             - ((xa ^ xb) & (za ^ zb)).bit_count()) % 4
 
@@ -75,11 +67,6 @@ class PauliOperator:
         return op
 
     @classmethod
-    def from_bits(cls, x, z, sign_bit: int = 0) -> "PauliOperator":
-        """The operator with dense bit vectors x, z and sign (-1)^sign_bit."""
-        return cls.from_masks(len(x), _bit_mask(x), _bit_mask(z), sign_bit)
-
-    @classmethod
     def single(cls, n: int, qubit: int, letter: str, sign: int = 1) -> "PauliOperator":
         return cls(n, ((qubit, letter),), sign)
 
@@ -96,14 +83,6 @@ class PauliOperator:
             if q == qubit:
                 return letter
         return "I"
-
-    @cached_property
-    def vectors(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Read-only dense x and z bit vectors, and the sign bit."""
-        x, z = (np.array([m >> q & 1 for q in range(self.n)], dtype=np.uint8)
-                for m in self.masks[:2])
-        x.flags.writeable = z.flags.writeable = False
-        return x, z, self.masks[2]
 
     @cached_property
     def masks(self) -> tuple[int, int, int]:

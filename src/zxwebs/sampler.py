@@ -20,6 +20,12 @@ carries z on the edge above the qubit's preparation, a Z error one that
 carries x, a Y error one that carries exactly one of them. The webs come
 from :mod:`zxwebs.webs`; the tableau gives only signs and coin masks.
 
+The detector web for a stub set is a combination of the reduced detector
+basis, read off its pivots: each detector's first stub appears in no other
+detector (:func:`webs.detectors`), so the detectors whose first stubs lie in
+the set are the only candidates. The model raises :class:`ModelError`
+unless their stub sets XOR to the wanted one; it never guesses.
+
 Errors and coins are drawn with the keys :func:`oracle.run` uses, so every
 record equals the tableau's for the same shot. A random check's coin is
 ``counter_bit(seed, shot, f"m{i}")`` with ``i`` its index in the shot's
@@ -30,11 +36,13 @@ is keyed ``"logical"``.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import gf2, oracle, webs
+from . import oracle, webs
 from .pauli import PauliOperator
 from .surface import correlator_boundary_condition
 
@@ -114,7 +122,7 @@ class OutcomeModel:
         self.coin_map = np.zeros((len(coins), len(results)), dtype=np.uint8)
         for col, coin_set in enumerate(coin_sets):
             self.coin_map[[row_of[c] for c in coin_set], col] = 1
-        self.flips = _flip_matrix(program, list(steps), targets, correlator)
+        self.flips = _flip_matrix(program, targets, correlator)
 
     def shots(self, seed: int, n_shots: int, *, error_rate: float = 0.0,
               z_error_rate: float = 0.0, fixed: Iterable[tuple[int, str]] = ()
@@ -179,14 +187,14 @@ def _correlator(diagram, logical: PauliOperator) -> webs.Web:
     return web
 
 
-def _flip_matrix(program: oracle.Program, check_ids: list[str],
-                 targets: list[set[str] | None], correlator: webs.Web | None
-                 ) -> np.ndarray:
+def _flip_matrix(program: oracle.Program, targets: list[set[str] | None],
+                 correlator: webs.Web | None) -> np.ndarray:
     """(2n, outputs) error-bit to outcome-flip matrix, one column per target.
 
     A target is the stub set of the web whose syndrome flips that output;
     None marks a random output, which no error flips. The last column
-    starts from the correlator web when one is given.
+    starts from the correlator web when one is given. A target's web is the
+    XOR of the detectors whose pivot stubs it holds.
     """
     d, structure = program.diagram, program.structure
     init_edges = np.array([d.edge_index(*structure.world_edges(q)[0])
@@ -199,19 +207,17 @@ def _flip_matrix(program: oracle.Program, check_ids: list[str],
     if not any(targets):
         return flips
     detector_webs = webs.detectors(d)
-    index = {c: i for i, c in enumerate(check_ids)}
-    incidence = np.zeros((len(check_ids), len(detector_webs)), dtype=np.uint8)
-    for j, web in enumerate(detector_webs):
-        incidence[[index[c] for c in web.stub_set()], j] = 1
+    stub_sets = [web.stub_set() for web in detector_webs]
+    # each detector's first stub is in no other detector (webs.detectors)
+    stub_order = {leg.outer.check_id: k for k, leg in enumerate(d.stub_legs)}
+    pivot_of = {min(stubs, key=stub_order.__getitem__): j for j, stubs in enumerate(stub_sets)}
     detector_flips = np.array([web.bits[reader] for web in detector_webs],
                               dtype=np.uint8).reshape(len(detector_webs), len(reader))
     for col, target in enumerate(targets):
         if not target:
             continue
-        wanted = np.zeros(len(check_ids), dtype=np.uint8)
-        wanted[[index[c] for c in target]] = 1
-        combo, _ = gf2.solve_affine(incidence, wanted)
-        if combo is None:
+        combo = [pivot_of[c] for c in target if c in pivot_of]
+        if reduce(operator.xor, (stub_sets[j] for j in combo), frozenset()) != target:
             raise ModelError(f"no detector web has the stub set {sorted(target)}")
-        flips[:, col] ^= (combo @ detector_flips) & 1
+        flips[:, col] ^= detector_flips[combo].sum(axis=0, dtype=np.uint8) & 1
     return flips

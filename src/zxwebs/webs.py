@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -318,15 +318,26 @@ def detectors(d: Diagram) -> list[Web]:
     The space of webs with all boundary legs unhighlighted and stub edges
     restricted to their measurement basis is row-reduced with stub bits as
     leading coordinates, giving one canonical detector per pivot stub.
+
+    Pivot contract, when every stub hangs off a spider (so one of its two
+    bits is pinned): each detector's pivot is its first stub in
+    ``d.stub_legs`` order, and that stub appears in no other detector. So
+    the detectors whose pivots lie in a stub set S are the only combination
+    that can have stub set S.
     """
     system = spider_constraints(d)
+    n_vars = system.matrix.shape[1]
     boundary_vars = [2 * leg.index + offset for leg in d.boundary_legs for offset in (0, 1)]
     stub_vars, _ = _stub_basis_vars(d)
-    matrix = np.vstack([system.matrix,
-                        _unit_rows(system.matrix.shape[1], boundary_vars + stub_vars)])
-    basis = gf2.nullspace(matrix)
-    if basis.size == 0:
+    # pinned variables are 0 in every such web: drop their columns
+    keep = np.ones(n_vars, dtype=bool)
+    keep[boundary_vars + stub_vars] = False
+    # compress keeps the copy C-ordered, where matrix[:, keep] would not be
+    kernel = gf2.nullspace(system.matrix.compress(keep, axis=1))
+    if kernel.size == 0:
         return []
+    basis = np.zeros((len(kernel), n_vars), dtype=np.uint8)
+    basis[:, keep] = kernel
     packed = gf2.BitMatrix.from_dense(basis)
     gf2.rref(packed, col_order=_stub_priority(d))
     reduced = packed.to_dense()
@@ -372,6 +383,9 @@ class PauliErrorSet:
 
     def __len__(self) -> int:
         return len(self.insertions)
+
+    def __iter__(self) -> Iterator[tuple[tuple[str, str], str]]:
+        return iter(self.insertions)
 
 
 def syndrome(ws: Sequence[Web], err: PauliErrorSet) -> np.ndarray:

@@ -45,15 +45,16 @@ def test_bitmatrix_round_trip():
         dense = random_matrix(rng, rows, cols)
         packed = gf2.BitMatrix.from_dense(dense)
         assert np.array_equal(packed.to_dense(), dense)
-        assert packed.get(0, 0) == dense[0, 0]
+        assert packed.rows[0] & 1 == dense[0, 0]
+        assert (packed.n_rows, packed.n_cols) == (rows, cols)
 
 
 def test_bitmatrix_set_get():
-    m = gf2.BitMatrix(2, 130)
-    m.set(1, 129, 1)
-    assert m.get(1, 129) == 1
-    m.set(1, 129, 0)
-    assert m.get(1, 129) == 0
+    m = gf2.BitMatrix(130, [0, 0])
+    m.rows[1] |= 1 << 129
+    assert m.to_dense()[1, 129] == 1 and m.to_dense().sum() == 1
+    m.rows[1] &= ~(1 << 129)
+    assert not m.to_dense().any()
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (10, 10), (20, 13), (13, 20), (40, 70)])
@@ -122,33 +123,61 @@ def test_lexmin_matches_brute_force():
 
 
 # -- loop references: the per-bit implementations the packed ones replaced --
+# They work on uint64 word matrices (column c is bit c % 64 of word c // 64),
+# converted to and from the kernel's int rows.
+
+
+def to_words(rows, n_cols):
+    """Int rows as a (len(rows), words) uint64 matrix."""
+    n_bytes = 8 * max(1, (n_cols + 63) // 64)
+    data = b"".join(r.to_bytes(n_bytes, "little") for r in rows)
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), n_bytes // 8).copy()
+
+
+def from_words(words):
+    """The int rows of a uint64 word matrix."""
+    return [int.from_bytes(w.tobytes(), "little") for w in words]
+
+
+def column_bits(words, c):
+    w, b = divmod(c, 64)
+    return ((words[:, w] >> np.uint64(b)) & np.uint64(1)).astype(np.uint8)
+
+
+def get_bit(words, r, c):
+    w, b = divmod(c, 64)
+    return int(words[r, w] >> np.uint64(b)) & 1
+
+
+def set_bit(words, r, c):
+    w, b = divmod(c, 64)
+    words[r, w] |= np.uint64(1) << np.uint64(b)
 
 
 def loop_from_dense(dense):
     dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
-    m = gf2.BitMatrix(dense.shape[0], dense.shape[1])
+    words = np.zeros((dense.shape[0], max(1, (dense.shape[1] + 63) // 64)), dtype=np.uint64)
     for c in range(dense.shape[1]):
         w, b = divmod(c, 64)
-        m.data[:, w] |= dense[:, c].astype(np.uint64) << np.uint64(b)
-    return m
+        words[:, w] |= dense[:, c].astype(np.uint64) << np.uint64(b)
+    return words
 
 
-def loop_to_dense(m):
-    out = np.zeros((m.n_rows, m.n_cols), dtype=np.uint8)
-    for c in range(m.n_cols):
-        w, b = divmod(c, 64)
-        out[:, c] = (m.data[:, w] >> np.uint64(b)) & np.uint64(1)
+def loop_to_dense(words, n_cols):
+    out = np.zeros((len(words), n_cols), dtype=np.uint8)
+    for c in range(n_cols):
+        out[:, c] = column_bits(words, c)
     return out
 
 
 def loop_nullspace(dense):
     dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
     n_cols = dense.shape[1]
-    m = loop_from_dense(dense)
+    m = gf2.BitMatrix(n_cols, from_words(loop_from_dense(dense)))
     pivot_cols = gf2.rref(m)
     free_cols = [c for c in range(n_cols) if c not in set(pivot_cols)]
     basis = np.zeros((len(free_cols), n_cols), dtype=np.uint8)
-    red = loop_to_dense(m)
+    red = loop_to_dense(to_words(m.rows, n_cols), n_cols)
     for k, fc in enumerate(free_cols):
         basis[k, fc] = 1
         for row_idx, pc in enumerate(pivot_cols):
@@ -161,20 +190,23 @@ def loop_solve_affine(dense, rhs):
     dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
     rhs = np.asarray(rhs, dtype=np.uint8) & 1
     n_rows, n_cols = dense.shape
-    aug = gf2.BitMatrix(n_rows, n_cols + 1 + n_rows)
+    aug_cols = n_cols + 1 + n_rows
+    aug = to_words([0] * n_rows, aug_cols)
     packed = loop_from_dense(dense)
-    aug.data[:, : packed.data.shape[1]] = packed.data
+    aug[:, : packed.shape[1]] = packed
     for r in range(n_rows):
         if rhs[r]:
-            aug.set(r, n_cols, 1)
-        aug.set(r, n_cols + 1 + r, 1)
-    pivot_cols = gf2.rref(aug, col_order=list(range(n_cols)))
+            set_bit(aug, r, n_cols)
+        set_bit(aug, r, n_cols + 1 + r)
+    m = gf2.BitMatrix(aug_cols, from_words(aug))
+    pivot_cols = gf2.rref(m, col_order=list(range(n_cols)))
+    aug = to_words(m.rows, aug_cols)
     for r in range(len(pivot_cols), n_rows):
-        if aug.get(r, n_cols):
-            return None, [i for i in range(n_rows) if aug.get(r, n_cols + 1 + i)]
+        if get_bit(aug, r, n_cols):
+            return None, [i for i in range(n_rows) if get_bit(aug, r, n_cols + 1 + i)]
     x = np.zeros(n_cols, dtype=np.uint8)
     for row_idx, pc in enumerate(pivot_cols):
-        x[pc] = aug.get(row_idx, n_cols)
+        x[pc] = get_bit(aug, row_idx, n_cols)
     return x, []
 
 
@@ -187,15 +219,14 @@ def test_packing_matches_loop_reference_and_word_layout(width):
     for rows in (0, 1, 5, 70):
         dense = random_matrix(rng, rows, width)
         packed = gf2.BitMatrix.from_dense(dense)
-        assert np.array_equal(packed.data, loop_from_dense(dense).data)
-        assert np.array_equal(packed.to_dense(), loop_to_dense(packed))
+        assert packed.rows == from_words(loop_from_dense(dense))
+        assert np.array_equal(packed.to_dense(), loop_to_dense(to_words(packed.rows, width), width))
         assert np.array_equal(packed.to_dense(), dense)
-        # column c is bit c % 64 of word c // 64
+        # column c is bit c of the row
         for r in range(rows):
+            assert packed.rows[r] >> width == 0
             for c in range(width):
-                assert packed.get(r, c) == dense[r, c]
-                word = int(packed.data[r, c // 64])
-                assert (word >> (c % 64)) & 1 == dense[r, c]
+                assert (packed.rows[r] >> c) & 1 == dense[r, c]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -237,30 +268,31 @@ def test_solve_affine_matches_loop_reference(width):
 def loop_rref(matrix, col_order=None):
     if col_order is None:
         col_order = list(range(matrix.n_cols))
+    words = to_words(matrix.rows, matrix.n_cols)
     pivot_cols: list[int] = []
     r = 0
     for c in col_order:
-        if r >= matrix.n_rows:
+        if r >= len(words):
             break
-        col = matrix.column_bits(c)
+        col = column_bits(words, c)
         hits = np.nonzero(col[r:])[0]
         if hits.size == 0:
             continue
-        matrix.swap_rows(r, r + int(hits[0]))
-        col = matrix.column_bits(c)
+        p = r + int(hits[0])
+        words[[r, p]] = words[[p, r]]
+        col = column_bits(words, c)
         col[r] = 0
         ones = np.nonzero(col)[0]
         if ones.size:
-            matrix.data[ones] ^= matrix.data[r]
+            words[ones] ^= words[r]
         pivot_cols.append(c)
         r += 1
+    matrix.rows[:] = from_words(words)
     return pivot_cols
 
 
 def copy_of(matrix):
-    copy = gf2.BitMatrix(matrix.n_rows, matrix.n_cols)
-    copy.data[:] = matrix.data
-    return copy
+    return gf2.BitMatrix(matrix.n_cols, list(matrix.rows))
 
 
 def assert_rref_matches_loop(matrix, col_order=None):
@@ -270,7 +302,7 @@ def assert_rref_matches_loop(matrix, col_order=None):
     got = copy_of(matrix)
     got_pivots = KERNEL(got, col_order)
     assert got_pivots == want_pivots
-    assert np.array_equal(got.data, want.data)
+    assert got.rows == want.rows
     return got, got_pivots
 
 
@@ -304,10 +336,15 @@ def test_rref_matches_loop_on_augmented_blocks():
 @pytest.mark.parametrize("order", [[-1], [5], [0, 3]])
 def test_rref_rejects_columns_outside_the_matrix(order):
     m = gf2.BitMatrix.from_dense(np.ones((2, 3), dtype=np.uint8))
-    before = m.data.copy()
+    before = list(m.rows)
     with pytest.raises(ValueError, match="outside"):
         gf2.rref(m, order)
-    assert np.array_equal(m.data, before)
+    assert m.rows == before
+
+
+def test_lexmin_rejects_a_basis_of_another_width():
+    with pytest.raises(ValueError, match="columns"):
+        gf2.lexmin_in_coset(np.array([1, 0, 1]), np.ones((1, 5), dtype=np.uint8), range(5))
 
 
 def test_solve_affine_rejects_rhs_of_the_wrong_length():
@@ -326,7 +363,7 @@ def test_rref_matches_loop_on_every_pipeline_call(monkeypatch, scheme, d, rounds
 
     def refereed(matrix, col_order=None):
         reduced, pivots = assert_rref_matches_loop(matrix, col_order)
-        matrix.data[:] = reduced.data
+        matrix.rows[:] = reduced.rows
         cells.append(matrix.n_rows * matrix.n_cols)
         return pivots
 
@@ -368,9 +405,9 @@ def traced_peak(fn, *args):
 def test_nullspace_and_solve_affine_make_no_full_size_uint8_copy(constraints_d9r3):
     a = constraints_d9r3
     assert a.dtype == np.uint8 and a.nbytes > 8_000_000
-    # packed rows, Python-int rows and the column index take about a.nbytes / 8
-    # each, twice that for the [A | b | I] rows of solve_affine: about 0.5 and
-    # 0.6 in all. One full-size uint8 temporary alone would take a.nbytes.
+    # the Python-int rows and the column index take about a.nbytes / 8 each,
+    # twice that for the [A | b | I] rows of solve_affine: about 0.5 and 0.4
+    # in all. One full-size uint8 temporary alone would take a.nbytes.
     peak, basis = traced_peak(gf2.nullspace, a)
     assert (peak - basis.nbytes) / a.nbytes < 0.8
     peak, (x, _) = traced_peak(gf2.solve_affine, a, np.zeros(len(a), dtype=np.uint8))

@@ -26,7 +26,7 @@ from zxwebs.surface import SCHEMES, InitState, build_layout, injection_pattern, 
 from zxwebs.webs import PauliErrorSet
 
 from conftest import make_diagram
-from test_pauli import int16_word_product
+from test_pauli import from_vectors, int16_word_product, vectors
 
 
 def op(n, mapping, sign=1):
@@ -344,11 +344,11 @@ class ReferenceTableau:
         self.aux[h] ^= self.aux[i]
 
     def apply_pauli(self, op):
-        x, z, _ = op.vectors
+        x, z, _ = vectors(op)
         self.signs ^= self._anticommute_mask(x, z)
 
     def measure(self, op, random_bit=None):
-        x, z, sign_bit = op.vectors
+        x, z, sign_bit = vectors(op)
         anti = self._anticommute_mask(x, z)
         stab_hits = np.nonzero(anti[self.n:])[0]
         if stab_hits.size:
@@ -404,7 +404,7 @@ class ReferenceTableau:
                     assert exponent % 2 == 0
                     rows[k] = (xa ^ xb, za ^ zb, exponent // 2)
             r += 1
-        return tuple(PauliOperator.from_bits(x, z, sign) for x, z, sign in rows
+        return tuple(from_vectors(x, z, sign) for x, z, sign in rows
                      if x.any() or z.any())
 
 

@@ -74,44 +74,41 @@ def int16_word_product(xa, za, xb, zb):
     return int(np.sum(a * b + c * e + 2 * b * c - (a ^ c) * (b ^ e))) % 4
 
 
+# -- converters between 0/1 numpy rows and int masks (bit q is qubit q) --
+
+
+def mask(row):
+    """The int mask of a 0/1 row."""
+    packed = np.packbits(np.asarray(row, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def row(m, n):
+    """The 0/1 uint8 row of length n of an int mask."""
+    packed = np.frombuffer(m.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def vectors(op):
+    """Dense x and z rows of an operator, and its sign bit."""
+    x, z, sign_bit = op.masks
+    return row(x, op.n), row(z, op.n), sign_bit
+
+
+def from_vectors(x, z, sign_bit=0):
+    """The operator with dense rows x, z and sign (-1)^sign_bit."""
+    return PauliOperator.from_masks(len(x), mask(x), mask(z), sign_bit)
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 25, 130])
 def test_row_phase_exponent_matches_int16_reference(n):
     rng = np.random.default_rng(n)
     for _ in range(200):
         rows = (rng.random((4, n)) < 0.5).astype(np.uint8)
-        assert phase_exponent(*rows) == int16_word_product(*rows)
+        assert phase_exponent(*map(mask, rows)) == int16_word_product(*rows)
         # a word's exponent is the sum of its qubits' exponents mod 4
         per_qubit = sum(phase_exponent(*map(int, rows[:, q])) for q in range(n))
-        assert phase_exponent(*rows) == per_qubit % 4
-
-
-def test_from_bits_round_trips_vectors_and_sign():
-    rng = np.random.default_rng(5)
-    letters = ["X", "Y", "Z"]
-    for n in (1, 4, 25):
-        for _ in range(30):
-            support = np.flatnonzero(rng.random(n) < 0.5).tolist()
-            op = PauliOperator.from_dict(
-                n, {q: letters[rng.integers(3)] for q in support},
-                sign=int(rng.choice([1, -1])))
-            again = PauliOperator.from_bits(*op.vectors)
-            assert again == op and again.sign == op.sign
-            x, z, sign_bit = op.vectors
-            assert set(np.flatnonzero(x).tolist()) == op.x_bits()
-            assert set(np.flatnonzero(z).tolist()) == op.z_bits()
-            assert sign_bit == (op.sign == -1)
-    assert PauliOperator.from_bits([0, 0], [0, 0]) == PauliOperator(2)
-
-
-def test_cached_vectors_reject_writes():
-    op = PauliOperator.from_dict(3, {0: "X", 2: "Y"})
-    x, z, _ = op.vectors
-    assert op.vectors[0] is x
-    with pytest.raises(ValueError):
-        x[1] = 1
-    with pytest.raises(ValueError):
-        z[0] ^= 1
-    assert op == PauliOperator.from_dict(3, {0: "X", 2: "Y"})
+        assert phase_exponent(*map(mask, rows)) == per_qubit % 4
 
 
 def test_masks_agree_with_vectors_and_round_trip():
@@ -125,6 +122,8 @@ def test_masks_agree_with_vectors_and_round_trip():
             x, z, sign_bit = a.masks
             assert {q for q in range(n) if x >> q & 1} == a.x_bits()
             assert {q for q in range(n) if z >> q & 1} == a.z_bits()
+            assert sign_bit == (a.sign == -1)
             assert PauliOperator.from_masks(n, x, z, sign_bit) == a
+            assert from_vectors(*vectors(a)) == a
             assert phase_exponent(*a.masks[:2], *b.masks[:2]) == \
-                phase_exponent(*a.vectors[:2], *b.vectors[:2])
+                int16_word_product(*vectors(a)[:2], *vectors(b)[:2])

@@ -62,6 +62,19 @@ def test_model_matches_tableau_shot_for_shot(scheme, d, rounds):
             assert got == want, (mode, error_rate, z_error_rate, fixed)
 
 
+@pytest.mark.parametrize("scheme", ["inject-y", "memory-z", "memory-x"])
+def test_model_matches_tableau_where_detectors_share_their_last_stub(scheme):
+    # from three rounds on, some detectors share their last stub with another,
+    # so only the first stub of each picks it out of a combination
+    layout, diag, logical = scheme_circuit(3, scheme, 3)
+    program = oracle.lower(diag)
+    model = sampler.OutcomeModel(program, logical)
+    got = list(model.shots(SEED, SHOTS, error_rate=0.1, z_error_rate=0.1))
+    want = [tableau_shot(program, layout, logical, None, SEED, shot, 0.1, 0.1, ())
+            for shot in range(SHOTS)]
+    assert got == want
+
+
 def test_model_sees_flips_and_acceptance_both_ways():
     # the comparison above must not pass on records that never vary
     layout, diag, logical = scheme_circuit(5, "inject-y")

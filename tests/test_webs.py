@@ -20,6 +20,7 @@ from zxwebs.webs import (
     validate_web,
     web_space,
 )
+from zxwebs.webs import _stub_basis_vars, _stub_priority
 
 from conftest import make_diagram
 
@@ -234,6 +235,35 @@ def test_detectors_d3_memory_z_two_rounds():
     assert x_cubes == [[f"r1.X{k}", f"r2.X{k}"] for k in range(4)]
     assert sorted(singles) == sorted([f"r1.Z{k}" for k in range(4)]
                                      + [f"r2.Z{k}" for k in range(4)])
+
+
+def stacked_pin_detectors(d):
+    """Detectors with each pinned variable a stacked unit row, as they were built before."""
+    matrix = spider_constraints(d).matrix
+    pinned = [2 * leg.index + offset for leg in d.boundary_legs for offset in (0, 1)]
+    pinned += _stub_basis_vars(d)[0]
+    units = np.zeros((len(pinned), matrix.shape[1]), dtype=np.uint8)
+    units[np.arange(len(pinned)), pinned] = 1
+    basis = gf2.nullspace(np.vstack([matrix, units]))
+    if basis.size == 0:
+        return []
+    packed = gf2.BitMatrix.from_dense(basis)
+    gf2.rref(packed, col_order=_stub_priority(d))
+    return [Web(d, v) for v in packed.to_dense() if v.any() and Web(d, v).stub_set()]
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("scheme", ["memory-z", "memory-x", "inject-y"])
+def test_detectors_pivot_on_their_first_stub(scheme, d, rounds):
+    _, diag = make_diagram(d, scheme, rounds)
+    dets = detectors(diag)
+    assert dets == stacked_pin_detectors(diag)
+    order = {leg.outer.check_id: k for k, leg in enumerate(diag.stub_legs)}
+    stub_sets = [w.stub_set() for w in dets]
+    for j, stubs in enumerate(stub_sets):
+        first = min(stubs, key=order.__getitem__)
+        assert [k for k, other in enumerate(stub_sets) if first in other] == [j]
 
 
 def test_syndrome_basics(memz5):
