@@ -324,12 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        distance=args.distance,
-        scheme=args.scheme,
-        seed=args.seed,
-        out=args.out,
-    )
+    config = RunConfig(distance=args.distance, scheme=args.scheme, seed=args.seed,
+                       out=args.out)
     for name in ("rounds", "shots", "error_rate", "z_error_rate", "postselect",
                  "fmt", "correlator"):
         if hasattr(args, name):

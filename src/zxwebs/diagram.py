@@ -29,12 +29,11 @@ other than "plain" is rejected by validation.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
 
 DOCUMENT_VERSION = 1
 
@@ -127,7 +126,7 @@ class Leg(NamedTuple):
 
 
 class SpiderLegs(NamedTuple):
-    """Every spider's legs as read-only edge-index arrays, spiders in canonical order.
+    """Every spider's legs as tuples of edge indices, spiders in canonical order.
 
     Spider k owns ``legs[starts[k]:starts[k + 1]]``, in canonical edge
     order. ``own[k]`` is the position of its own color's bit in an (x, z)
@@ -135,10 +134,10 @@ class SpiderLegs(NamedTuple):
     """
 
     spiders: tuple[Node, ...]
-    legs: np.ndarray
-    starts: np.ndarray
-    own: np.ndarray
-    half: np.ndarray
+    legs: tuple[int, ...]
+    starts: tuple[int, ...]
+    own: tuple[int, ...]
+    half: tuple[bool, ...]
 
 
 class DiagramError(ValueError):
@@ -232,7 +231,9 @@ class Diagram:
         return self._edge_kinds.get(self.edge_key(a, b), "plain")
 
     def edge_name(self, edge: tuple[str, str]) -> str:
-        a, b = self.edge_key(*edge)
+        # the index holds canonical pairs only, so a hit needs no reordering
+        edge = tuple(edge)
+        a, b = edge if edge in self._edge_index else self.edge_key(*edge)
         return f"{a}--{b}"
 
     def edge_from_name(self, name: str) -> tuple[str, str]:
@@ -263,6 +264,11 @@ class Diagram:
         return self._legs((Kind.MEASURE_OUT,))
 
     @cached_property
+    def stub_index(self) -> dict[int, str]:
+        """check_id of each stub, keyed by the index of its edge."""
+        return {leg.index: leg.outer.check_id for leg in self.stub_legs}
+
+    @cached_property
     def boundary_legs(self) -> tuple[Leg, ...]:
         """Edges touching an open boundary node, in canonical edge order."""
         return self._legs(BOUNDARY_KINDS)
@@ -275,13 +281,11 @@ class Diagram:
         # (spider, edge index) per leg; a self-loop is no leg, as in incident_edges
         ends = sorted((slot[n], i) for i, (a, b) in enumerate(self.edges) if a != b
                       for n in (a, b) if n in slot)
-        owner, legs = np.array(ends, dtype=np.intp).reshape(-1, 2).T.copy()
-        table = SpiderLegs(spiders, legs, np.searchsorted(owner, np.arange(len(spiders) + 1)),
-                           np.array([s.color is Color.Z for s in spiders], dtype=np.intp),
-                           np.array([s.phase.is_half for s in spiders], dtype=bool))
-        for array in table[1:]:
-            array.flags.writeable = False
-        return table
+        owners = [k for k, _ in ends]
+        starts = tuple(bisect_left(owners, k) for k in range(len(spiders) + 1))
+        return SpiderLegs(spiders, tuple(i for _, i in ends), starts,
+                          tuple(int(s.color is Color.Z) for s in spiders),
+                          tuple(s.phase.is_half for s in spiders))
 
     def incident_edges(self, node_id: str) -> tuple[tuple[str, str], ...]:
         """Incident edges of a node, in canonical edge order."""
@@ -489,6 +493,8 @@ def read_webs(text: str, d: Diagram) -> dict[str, dict[str, str]]:
 # -- rendering ---------------------------------------------------------------
 
 _DOT_FILL = {Color.Z: "#66cc66", Color.X: "#e06060"}
+_DOT_EDGE = {"Z": ' [color="green", penwidth=2.5]', "X": ' [color="red", penwidth=2.5]',
+             "Y": ' [color="red:green", penwidth=2.0]'}  # Y: doubled stroke in both colors
 _TIKZ_COLOR = {Color.Z: "zxgreen", Color.X: "zxred"}
 
 
@@ -533,16 +539,7 @@ def _export_dot(d: Diagram, marks: dict[tuple[str, str], str]) -> str:
         else:
             lines.append(f'  "{n.id}" [shape=point, label=""];')
     for e in d.edges:
-        letter = marks.get(e)
-        if letter is None:
-            attr = ""
-        elif letter == "Z":
-            attr = ' [color="green", penwidth=2.5]'
-        elif letter == "X":
-            attr = ' [color="red", penwidth=2.5]'
-        else:  # Y: doubled stroke in both colors
-            attr = ' [color="red:green", penwidth=2.0]'
-        lines.append(f'  "{e[0]}" -- "{e[1]}"{attr};')
+        lines.append(f'  "{e[0]}" -- "{e[1]}"{_DOT_EDGE.get(marks.get(e), "")};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -560,41 +557,29 @@ def _export_tikz(d: Diagram, marks: dict[tuple[str, str], str]) -> str:
         "\\definecolor{zxred}{RGB}{224,96,96}",
         "\\begin{tikzpicture}[tdplot_main_coords,every node/.style={minimum size=0.7cm}]",
     ]
-    name_of = {n.id: f"n{i}" for i, n in enumerate(d.nodes)}
+    def draw(style: str, a: str, b: str) -> None:
+        lines.append(f"\\draw[{style}] {_tikz_coord(d.node(a).pos)} -- "
+                     f"{_tikz_coord(d.node(b).pos)};")
+
     # highlighted edges go underneath as thick colored strokes
-    for e, letter in sorted(marks.items(), key=lambda kv: d.edge_index(*kv[0])):
-        a, b = e
-        pa, pb = d.node(a).pos, d.node(b).pos
+    for (a, b), letter in sorted(marks.items(), key=lambda kv: d.edge_index(*kv[0])):
         if letter in ("Z", "Y"):
-            lines.append(
-                f"\\draw[green,opacity=0.8,line width=0.25cm] {_tikz_coord(pa)} -- {_tikz_coord(pb)};"
-            )
+            draw("green,opacity=0.8,line width=0.25cm", a, b)
         if letter in ("X", "Y"):
-            lines.append(
-                f"\\draw[red,opacity=0.6,line width=0.15cm] {_tikz_coord(pa)} -- {_tikz_coord(pb)};"
-            )
+            draw("red,opacity=0.6,line width=0.15cm", a, b)
     for a, b in d.edges:
-        pa, pb = d.node(a).pos, d.node(b).pos
         width = "0.15cm" if Kind.MEASURE_OUT in (d.node(a).kind, d.node(b).kind) else "0.05cm"
-        lines.append(
-            f"\\draw[black,line width={width}] {_tikz_coord(pa)} -- {_tikz_coord(pb)};"
-        )
-    for n in d.nodes:
-        coord = _tikz_coord(n.pos)
+        draw(f"black,line width={width}", a, b)
+    for i, n in enumerate(d.nodes):
+        label = ""
         if n.kind is Kind.SPIDER:
-            tex_phase = str(n.phase).replace("π", "\\pi")
-            label = "" if n.phase.value == 0 else f"${tex_phase}$"
-            lines.append(
-                f"\\node[fill={_TIKZ_COLOR[n.color]},shape=circle,draw=black] "
-                f"({name_of[n.id]}) at {coord} {{{label}}};"
-            )
+            style = f"fill={_TIKZ_COLOR[n.color]},shape=circle,draw=black"
+            if n.phase.value:
+                label = "$" + str(n.phase).replace("π", "\\pi") + "$"
         elif n.kind is Kind.MEASURE_OUT:
-            lines.append(
-                f"\\node[shape=circle,draw=black,scale=0.3] ({name_of[n.id]}) at {coord} {{}};"
-            )
+            style = "shape=circle,draw=black,scale=0.3"
         else:
-            lines.append(
-                f"\\node[shape=circle,draw=gray,scale=0.2] ({name_of[n.id]}) at {coord} {{}};"
-            )
+            style = "shape=circle,draw=gray,scale=0.2"
+        lines.append(f"\\node[{style}] (n{i}) at {_tikz_coord(n.pos)} {{{label}}};")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"

@@ -1,17 +1,16 @@
 """GF(2) linear algebra on rows held as Python ints: bit c of a row is column c.
 
-Dense uint8 matrices are the module's interface; a :class:`BitMatrix` is the
-one stored row format in between, and :func:`rref` reduces its rows in place.
+:func:`rref` and the ``*_rows`` functions built on it work on int rows only.
+The dense uint8 functions are thin wrappers over them; only they and the
+:class:`BitMatrix` dense converters import numpy. Where only the pivot
+columns and rows of an RREF are read, rows go sparsest first: those depend
+on the row space and column order alone, and sparse pivots make less fill.
 """
 
 from __future__ import annotations
 
 import operator
-
-import numpy as np
-
-# Rows packed or unpacked per numpy call, so no uint8 temporary is full-size.
-_BLOCK = 512
+from typing import Iterable, Sequence
 
 
 class BitMatrix:
@@ -29,36 +28,47 @@ class BitMatrix:
         return len(self.rows)
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
+    def from_dense(cls, dense) -> "BitMatrix":
         """The rows of a 0/1 matrix, taken mod 2."""
-        dense = np.atleast_2d(np.asarray(dense))
-        width = (dense.shape[1] + 7) // 8
-        rows = []
-        for start in range(0, len(dense), _BLOCK):
-            block = np.asarray(dense[start : start + _BLOCK], dtype=np.uint8) & 1
-            data = np.packbits(block, axis=1, bitorder="little").tobytes()
-            rows += [int.from_bytes(data[i * width : (i + 1) * width], "little")
-                     for i in range(len(block))]
-        return cls(dense.shape[1], rows)
+        import numpy as np
+        # row by row, so no masked or packed temporary is full-size
+        dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8))
+        return cls(dense.shape[1], [
+            int.from_bytes(np.packbits(row & 1, bitorder="little").tobytes(), "little")
+            for row in dense])
 
-    def to_dense(self) -> np.ndarray:
-        return _unpack(self.rows, self.n_cols)
-
-
-def _unpack(rows: list[int], n_cols: int) -> np.ndarray:
-    """Int rows as a dense uint8 matrix with ``n_cols`` columns."""
-    width = (n_cols + 7) // 8
-    data = b"".join(row.to_bytes(width, "little") for row in rows)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n_cols, bitorder="little")
+    def to_dense(self):
+        """The rows as a dense uint8 matrix."""
+        import numpy as np
+        width = (self.n_cols + 7) // 8
+        data = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        packed = np.frombuffer(data, dtype=np.uint8).reshape(len(self.rows), width)
+        return np.unpackbits(packed, axis=1, count=self.n_cols, bitorder="little")
 
 
-def _bits(x: int):
-    """Indices of the set bits of ``x``, highest first."""
+def ones(x: int) -> list[int]:
+    """Indices of the set bits of ``x`` >= 0, lowest first.
+
+    Shifted down to its lowest set bit, a banded wide row is a small int,
+    whose bits are cleared from the top, so it shrinks as it goes.
+    """
+    low = (x & -x).bit_length() - 1
+    x >>= max(low, 0)
+    out = []
     while x:
         i = x.bit_length() - 1
-        yield i
+        out.append(low + i)
         x ^= 1 << i
+    out.reverse()
+    return out
+
+
+def from_ones(bits: Iterable[int], n_bits: int) -> int:
+    """The int with exactly ``bits`` set, for bits below ``n_bits``."""
+    buf = bytearray((n_bits + 7) // 8)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
 
 
 def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
@@ -73,7 +83,7 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     k + 1. The kernel runs that loop in two phases on the int rows, because
     the matrices are mostly zeros.
 
-    - Forward: for each searched column, an int over row ids marks the
+    - Forward: for each searched column, a set of row ids marks the
       non-pivot rows with a 1 there. The pivot is the marked row with the
       lowest current position, swapped in by two position lists. It is
       XORed only into the other marked rows, and the marks change only at
@@ -102,14 +112,12 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     if n_rows == 0:
         return []
     rows = matrix.rows
-    unvisited = 0  # searched columns not yet visited, as one int
-    for c in col_order:
-        unvisited |= 1 << c
-    # marked[c]: the non-pivot rows with a 1 in column c, as an int over row ids
-    marked = [0] * n_cols
+    unvisited = from_ones(col_order, n_cols)  # searched columns not yet visited
+    # marked[c]: the non-pivot rows with a 1 in column c
+    marked: dict[int, set[int]] = {}
     for i, v in enumerate(rows):
-        for c in _bits(v & unvisited):
-            marked[c] |= 1 << i
+        for c in ones(v & unvisited):
+            marked.setdefault(c, set()).add(i)
     pos = list(range(n_rows))  # row id -> position
     at = list(range(n_rows))   # position -> row id
     pivot_cols: list[int] = []
@@ -118,16 +126,18 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
         if k >= n_rows:
             break
         unvisited ^= 1 << c
-        hits, marked[c] = marked[c], 0
+        hits = marked.pop(c, None)
         if not hits:
             continue
-        p = min(_bits(hits), key=pos.__getitem__)
+        p = min(hits, key=pos.__getitem__)
         q, s = pos[p], at[k]
         at[k], at[q], pos[p], pos[s] = p, s, k, q
         pivot = rows[p]
-        for i in _bits(hits ^ (1 << p)):
-            rows[i] ^= pivot
-        for j in _bits(pivot & unvisited):
+        for i in hits:
+            if i != p:
+                rows[i] ^= pivot
+        # every such column marks p, so the XOR unmarks it
+        for j in ones(pivot & unvisited):
             marked[j] ^= hits
         pivot_cols.append(c)
     del marked
@@ -135,7 +145,7 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     row_of = {}
     for c, p in zip(reversed(pivot_cols), reversed(at[: len(pivot_cols)])):
         v = rows[p]
-        for j in _bits(v & later):
+        for j in ones(v & later):
             v ^= rows[row_of[j]]
         rows[p] = v
         later |= 1 << c
@@ -144,73 +154,102 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     return pivot_cols
 
 
-def rank(dense: np.ndarray) -> int:
-    return len(rref(BitMatrix.from_dense(dense)))
+def rank_rows(matrix: BitMatrix) -> int:
+    """The rank of ``matrix``; like :func:`rref`, it reduces the rows in place."""
+    matrix.rows.sort(key=int.bit_count)  # sparsest first (module docstring)
+    return len(rref(matrix))
 
 
-def nullspace(dense: np.ndarray) -> np.ndarray:
-    """Basis of the right null space of ``dense`` over GF(2), one vector per row.
+def nullspace_rows(matrix: BitMatrix) -> list[int]:
+    """Basis of the right null space of ``matrix``, one int per vector.
 
     Deterministic: free columns are taken in ascending index order and each
     basis vector is the standard back-substituted vector for one free column.
+    Like :func:`rref`, it reduces ``matrix.rows`` in place.
     """
-    m = BitMatrix.from_dense(dense)
-    n_cols = m.n_cols
-    pivot_cols = rref(m)
-    is_free = np.ones(n_cols, dtype=bool)
-    is_free[pivot_cols] = False
-    free_cols = np.flatnonzero(is_free)
-    basis = np.zeros((len(free_cols), n_cols), dtype=np.uint8)
-    basis[np.arange(len(free_cols)), free_cols] = 1
+    n_cols = matrix.n_cols
+    matrix.rows.sort(key=int.bit_count)  # sparsest first (module docstring)
+    pivot_cols = rref(matrix)
+    free_cols = sorted(set(range(n_cols)).difference(pivot_cols))
+    free = from_ones(free_cols, n_cols)
     # pivot row k holds the free-column coefficients of pivot variable k
-    for start in range(0, len(pivot_cols), _BLOCK):
-        cols = pivot_cols[start : start + _BLOCK]
-        block = _unpack(m.rows[start : start + len(cols)], n_cols)
-        basis[:, cols] = block[:, free_cols].T
-    return basis
+    support = {f: [f] for f in free_cols}
+    for row, c in zip(matrix.rows, pivot_cols):
+        for f in ones(row & free):
+            support[f].append(c)
+    return [from_ones(support[f], n_cols) for f in free_cols]
 
 
-def solve_affine(
-    dense: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray | None, list[int]]:
-    """Solve A x = b over GF(2).
+def solve_affine_rows(matrix: BitMatrix, rhs: Sequence[int]) -> tuple[int | None, list[int]]:
+    """Solve A x = b over GF(2), with b given as one 0/1 entry per row.
 
-    Returns (solution, []) with the particular solution obtained by zeroing
-    free variables, or (None, witness) where witness lists indices of the
-    input rows whose XOR yields an inconsistent 0 = 1 equation.
+    Returns (x, []) with the particular solution obtained by zeroing free
+    variables, as an int, or (None, witness) where witness lists indices of
+    the input rows whose XOR yields an inconsistent 0 = 1 equation. Only an
+    inconsistent system is reduced a second time, in row order with an
+    identity tail [A | b | I] that records the row history.
     """
-    dense = np.atleast_2d(np.asarray(dense))
-    rhs = np.asarray(rhs, dtype=np.uint8) & 1
-    n_rows, n_cols = dense.shape
-    if rhs.shape != (n_rows,):
-        raise ValueError(f"rhs has shape {rhs.shape} for {n_rows} rows")
-    # augmented rows [A | b | I]: the identity tail records row history
-    aug = BitMatrix(n_cols + 1 + n_rows, [
-        row | b << n_cols | 1 << (n_cols + 1 + i)
-        for i, (row, b) in enumerate(zip(BitMatrix.from_dense(dense).rows, rhs.tolist()))])
-    pivot_cols = rref(aug, col_order=list(range(n_cols)))
-    for row in aug.rows[len(pivot_cols):]:
-        if row >> n_cols & 1:
-            return None, sorted(_bits(row >> (n_cols + 1)))
-    x = np.zeros(n_cols, dtype=np.uint8)
-    x[pivot_cols] = [row >> n_cols & 1 for row in aug.rows[: len(pivot_cols)]]
-    return x, []
+    n_cols, n_rows = matrix.n_cols, matrix.n_rows
+    if len(rhs) != n_rows:
+        raise ValueError(f"rhs has {len(rhs)} entries for {n_rows} rows")
+    for history in (False, True):
+        aug = BitMatrix(n_cols + 1 + history * n_rows, [
+            row | (b & 1) << n_cols | history << (n_cols + 1 + i)
+            for i, (row, b) in enumerate(zip(matrix.rows, rhs))])
+        if not history:
+            aug.rows.sort(key=int.bit_count)
+        pivot_cols = rref(aug, col_order=range(n_cols))
+        bad = next((row for row in aug.rows[len(pivot_cols):] if row >> n_cols & 1), None)
+        if bad is None:
+            return from_ones((c for c, row in zip(pivot_cols, aug.rows)
+                              if row >> n_cols & 1), n_cols), []
+        if history:
+            return None, ones(bad >> (n_cols + 1))
 
 
-def lexmin_in_coset(
-    x0: np.ndarray, basis: np.ndarray, col_priority: list[int]
-) -> np.ndarray:
-    """The lexicographically minimal vector of x0 + span(basis).
+def lexmin_rows(x: int, basis: BitMatrix, col_priority: Iterable[int]) -> int:
+    """The lexicographically minimal vector of x + span(basis).
 
     Minimality is with respect to ``col_priority``: earlier columns are
-    zeroed first whenever the coset allows it.
+    zeroed first whenever the coset allows it. Like :func:`rref`, it
+    reduces ``basis.rows`` in place.
     """
+    if not basis.rows:
+        return x
+    for row, pc in zip(basis.rows, rref(basis, col_order=col_priority)):
+        if x >> pc & 1:
+            x ^= row
+    return x
+
+
+def rank(dense) -> int:
+    return rank_rows(BitMatrix.from_dense(dense))
+
+
+def nullspace(dense):
+    """Basis of the right null space of ``dense``, one uint8 vector per row."""
+    m = BitMatrix.from_dense(dense)
+    return BitMatrix(m.n_cols, nullspace_rows(m)).to_dense()
+
+
+def solve_affine(dense, rhs):
+    """(uint8 solution, []) or (None, witness), as :func:`solve_affine_rows`."""
+    import numpy as np
+    m = BitMatrix.from_dense(dense)
+    rhs = np.asarray(rhs, dtype=np.uint8) & 1
+    if rhs.shape != (m.n_rows,):
+        raise ValueError(f"rhs has shape {rhs.shape} for {m.n_rows} rows")
+    x, witness = solve_affine_rows(m, rhs.tolist())
+    return (None if x is None else BitMatrix(m.n_cols, [x]).to_dense()[0]), witness
+
+
+def lexmin_in_coset(x0, basis, col_priority: list[int]):
+    """The lexicographically minimal vector of x0 + span(basis), as uint8."""
+    import numpy as np
     x = BitMatrix.from_dense(x0)
     if np.size(basis):
         m = BitMatrix.from_dense(basis)
         if m.n_cols != x.n_cols:
             raise ValueError(f"basis has {m.n_cols} columns for a vector of {x.n_cols}")
-        for row, pc in zip(m.rows, rref(m, col_order=col_priority)):
-            if x.rows[0] >> pc & 1:
-                x.rows[0] ^= row
+        x.rows[0] = lexmin_rows(x.rows[0], m, col_priority)
     return x.to_dense()[0]

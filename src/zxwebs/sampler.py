@@ -26,6 +26,10 @@ detector (:func:`webs.detectors`), so the detectors whose first stubs lie in
 the set are the only candidates. The model raises :class:`ModelError`
 unless their stub sets XOR to the wanted one; it never guesses.
 
+The model holds each outcome as one bit of an int over the outputs, with
+an int column per coin and per error bit; a shot XORs the columns of its
+drawn errors and 1-coins into the base, so sampling needs no numpy.
+
 Errors and coins are drawn with the keys :func:`oracle.run` uses, so every
 record equals the tableau's for the same shot. A random check's coin is
 ``counter_bit(seed, shot, f"m{i}")`` with ``i`` its index in the shot's
@@ -40,13 +44,10 @@ import operator
 from functools import reduce
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import oracle, webs
 from .pauli import PauliOperator
 from .surface import correlator_boundary_condition
 
-CHUNK = 1024  # shots drawn and evaluated together; bounds the draw matrices
 LOGICAL = "logical"  # coin key of the logical measurement
 
 
@@ -105,24 +106,27 @@ class OutcomeModel:
             results.append(walk.logical)
             if walk.logical.deterministic:
                 coin_sets.append(_aux_checks(walk.logical.aux, events))
-                correlator = _correlator(program.diagram, logical)
+                d = program.diagram
+                correlator = webs.solve(d, correlator_boundary_condition(d, logical))
+                if isinstance(correlator, webs.Infeasible):
+                    raise ModelError(
+                        f"the logical is forced but has no correlator web: {correlator}")
                 targets.append(correlator.stub_set() ^ coin_sets[-1])
             else:
                 coin_sets.append({LOGICAL})
                 targets.append(None)
 
-        # outcomes = base ^ coins @ coin_map ^ errors @ flips  (mod 2); a random
-        # outcome walked with coin 0 is 0, so its base is 0 and its coin decides
-        self.base = np.array([r.outcome for r in results], dtype=np.uint8)
+        # outcomes = base ^ coins @ coin_map ^ errors @ flips  (mod 2), rows as
+        # ints; a random outcome walked with coin 0 is 0, so its coin decides
+        self._n_outputs = len(results)
+        self.base = sum(r.outcome << j for j, r in enumerate(results))
         coins = sorted(set().union(*coin_sets),
                        key=lambda c: -1 if c == LOGICAL else steps[c].position)
         # error-free stream position of each coin's check; -1 for the logical's
         self._coin_positions = [-1 if c == LOGICAL else steps[c].position for c in coins]
-        row_of = {c: k for k, c in enumerate(coins)}
-        self.coin_map = np.zeros((len(coins), len(results)), dtype=np.uint8)
-        for col, coin_set in enumerate(coin_sets):
-            self.coin_map[[row_of[c] for c in coin_set], col] = 1
-        self.flips = _flip_matrix(program, targets, correlator)
+        self.coin_map = [sum(1 << col for col, coin_set in enumerate(coin_sets) if c in coin_set)
+                         for c in coins]
+        self.flips = _flip_columns(program, targets, correlator)
 
     def shots(self, seed: int, n_shots: int, *, error_rate: float = 0.0,
               z_error_rate: float = 0.0, fixed: Iterable[tuple[int, str]] = ()
@@ -137,34 +141,25 @@ class OutcomeModel:
         insertions on that shot.
         """
         fixed = list(fixed)
-        fixed_bits = np.zeros(2 * self.n, dtype=np.uint8)
+        fixed_flips = 0
         for q, letter in fixed:
-            fixed_bits[_error_columns(self.n, q, letter)] ^= 1
-        draws = [(col, f"err{letter}:{q}", rate) for q in range(self.n)
+            for col in _error_columns(self.n, q, letter):
+                fixed_flips ^= self.flips[col]
+        draws = [(self.flips[col], f"err{letter}:{q}", rate) for q in range(self.n)
                  for letter, rate, col in (("x", error_rate, q),
                                            ("z", z_error_rate, self.n + q)) if rate]
-        columns = [col for col, _, _ in draws]
-        for start in range(0, n_shots, CHUNK):
-            block = range(start, min(start + CHUNK, n_shots))
-            hits = np.fromiter((oracle.counter_unit(seed, shot, token) < rate
-                                for shot in block for _, token, rate in draws),
-                               dtype=bool, count=len(block) * len(draws)
-                               ).reshape(len(block), len(draws))
-            errors = np.zeros((len(block), 2 * self.n), dtype=np.uint8)
-            errors[:, columns] = hits
-            errors ^= fixed_bits
-            counts = (len(fixed) + hits.sum(axis=1)).tolist()
-            values = self.base ^ ((errors @ self.flips) & 1)
-            if self._coin_positions:
-                coins = np.fromiter((oracle.counter_bit(seed, shot, LOGICAL if pos < 0
-                                                        else f"m{pos + count}")
-                                     for shot, count in zip(block, counts)
-                                     for pos in self._coin_positions),
-                                    dtype=np.uint8,
-                                    count=len(block) * len(self._coin_positions)
-                                    ).reshape(len(block), len(self._coin_positions))
-                values ^= (coins @ self.coin_map) & 1
-            yield from zip(counts, map(self._record, values.tolist()))
+        coins = list(zip(self._coin_positions, self.coin_map))
+        outputs = range(self._n_outputs)
+        for shot in range(n_shots):
+            value, count = self.base ^ fixed_flips, len(fixed)
+            for flips, token, rate in draws:
+                if oracle.counter_unit(seed, shot, token) < rate:
+                    value ^= flips
+                    count += 1
+            for pos, column in coins:
+                if oracle.counter_bit(seed, shot, LOGICAL if pos < 0 else f"m{pos + count}"):
+                    value ^= column
+            yield count, self._record([value >> j & 1 for j in outputs])
 
     def _record(self, row: list[int]) -> oracle.ShotRecord:
         accepted = None
@@ -180,44 +175,37 @@ def _aux_checks(aux: int, events: tuple[str, ...]) -> set[str]:
     return {check for k, check in enumerate(events) if aux >> k & 1}
 
 
-def _correlator(diagram, logical: PauliOperator) -> webs.Web:
-    web = webs.solve(diagram, correlator_boundary_condition(diagram, logical))
-    if isinstance(web, webs.Infeasible):
-        raise ModelError(f"the logical is forced but has no correlator web: {web}")
-    return web
-
-
-def _flip_matrix(program: oracle.Program, targets: list[set[str] | None],
-                 correlator: webs.Web | None) -> np.ndarray:
-    """(2n, outputs) error-bit to outcome-flip matrix, one column per target.
+def _flip_columns(program: oracle.Program, targets: list[set[str] | None],
+                  correlator: webs.Web | None) -> list[int]:
+    """Per error bit, the outputs it flips, as an int over the outputs.
 
     A target is the stub set of the web whose syndrome flips that output;
-    None marks a random output, which no error flips. The last column
+    None marks a random output, which no error flips. The last output
     starts from the correlator web when one is given. A target's web is the
     XOR of the detectors whose pivot stubs it holds.
     """
     d, structure = program.diagram, program.structure
-    init_edges = np.array([d.edge_index(*structure.world_edges(q)[0])
-                           for q in range(structure.n)])
+    init_edges = [d.edge_index(*structure.world_edges(q)[0]) for q in range(structure.n)]
     # an X error reads the z bit of its edge, a Z error the x bit
-    reader = np.concatenate([2 * init_edges + 1, 2 * init_edges])
-    flips = np.zeros((len(reader), len(targets)), dtype=np.uint8)
+    reader = [2 * e + 1 for e in init_edges] + [2 * e for e in init_edges]
+    reader_mask = sum(1 << v for v in reader)
+    # per output, the bits of its web that the errors read
+    read = [0] * len(targets)
     if correlator is not None:
-        flips[:, -1] = correlator.bits[reader]
-    if not any(targets):
-        return flips
-    detector_webs = webs.detectors(d)
-    stub_sets = [web.stub_set() for web in detector_webs]
-    # each detector's first stub is in no other detector (webs.detectors)
-    stub_order = {leg.outer.check_id: k for k, leg in enumerate(d.stub_legs)}
-    pivot_of = {min(stubs, key=stub_order.__getitem__): j for j, stubs in enumerate(stub_sets)}
-    detector_flips = np.array([web.bits[reader] for web in detector_webs],
-                              dtype=np.uint8).reshape(len(detector_webs), len(reader))
-    for col, target in enumerate(targets):
-        if not target:
-            continue
-        combo = [pivot_of[c] for c in target if c in pivot_of]
-        if reduce(operator.xor, (stub_sets[j] for j in combo), frozenset()) != target:
-            raise ModelError(f"no detector web has the stub set {sorted(target)}")
-        flips[:, col] ^= detector_flips[combo].sum(axis=0, dtype=np.uint8) & 1
-    return flips
+        read[-1] = correlator.mask & reader_mask
+    if any(targets):
+        detector_webs = webs.detectors(d)
+        stub_sets = [web.stub_set() for web in detector_webs]
+        # each detector's first stub is in no other detector (webs.detectors)
+        stub_order = {leg.outer.check_id: k for k, leg in enumerate(d.stub_legs)}
+        pivot_of = {min(stubs, key=stub_order.__getitem__): j
+                    for j, stubs in enumerate(stub_sets)}
+        for col, target in enumerate(targets):
+            if not target:
+                continue
+            combo = [pivot_of[c] for c in target if c in pivot_of]
+            if reduce(operator.xor, (stub_sets[j] for j in combo), frozenset()) != target:
+                raise ModelError(f"no detector web has the stub set {sorted(target)}")
+            for j in combo:
+                read[col] ^= detector_webs[j].mask & reader_mask
+    return [sum(1 << col for col, bits in enumerate(read) if bits >> v & 1) for v in reader]

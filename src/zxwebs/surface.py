@@ -104,16 +104,11 @@ def build_layout(d: int) -> Layout:
                 if 0 <= c < d and 0 <= r < d
             )
             ptype = "X" if (i + j) % 2 == 0 else "Z"
-            if len(support) == 4:
-                pass  # interior, always kept
-            elif len(support) == 2:
-                on_top_bottom = j in (-1, d - 1)
-                if ptype == "X" and not on_top_bottom:
-                    continue
-                if ptype == "Z" and on_top_bottom:
-                    continue
-            else:
-                continue  # corner stumps
+            # interiors always stay; a weight-2 boundary plaquette stays where
+            # its type matches the edge (X on top/bottom); corner stumps never
+            boundary_ok = len(support) == 2 and (ptype == "X") == (j in (-1, d - 1))
+            if len(support) != 4 and not boundary_ok:
+                continue
             target = x_list if ptype == "X" else z_list
             target.append(Plaquette(
                 id=f"{ptype}{len(target)}",

@@ -12,8 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oracle, webs
 from .diagram import Diagram, validate
 from .pauli import PauliOperator
@@ -52,13 +50,11 @@ def check_web_space(diag: Diagram, space: WebSpace) -> CheckResult:
     # degree-1 termination rules, asserted literally on every basis web: a
     # ±pi/2 end carries x = z, any other end leaves its own color unlit
     t = diag.spider_legs
-    ends = np.flatnonzero(np.diff(t.starts) == 1)
-    x_var = 2 * t.legs[t.starts[ends]]
-    own_var = x_var + t.own[ends]
-    half = t.half[ends]
+    ends = [(2 * t.legs[t.starts[k]], t.own[k], t.half[k]) for k in range(len(t.spiders))
+            if t.starts[k + 1] - t.starts[k] == 1]
     terminations_ok = not any(
-        np.where(half, w.bits[x_var] ^ w.bits[x_var + 1], w.bits[own_var]).any()
-        for w in space.basis)
+        (w.mask >> x ^ w.mask >> x + 1) & 1 if half else w.mask >> x + own & 1
+        for w in space.basis for x, own, half in ends)
     ok = ok and terminations_ok
     return CheckResult(
         "web-space", ok,
@@ -145,6 +141,7 @@ def _world_line_errors(structure: oracle.DiagramStructure) -> list[tuple[tuple[s
 
 def check_syndrome_equivalence(program: oracle.Program, dets: list[Web], seed: int,
                                exhaustive: bool, samples: int) -> CheckResult:
+    import numpy as np
     diag = program.diagram
     candidates = _world_line_errors(program.structure)
     stub_sets = [w.stub_set() for w in dets]
@@ -161,9 +158,7 @@ def check_syndrome_equivalence(program: oracle.Program, dets: list[Web], seed: i
         err = PauliErrorSet.of(diag, items)
         predicted = webs.syndrome(dets, err)
         rec = oracle.run(program, err, seed=seed)
-        actual = np.array([stub_product(rec, stub_set) for stub_set in stub_sets],
-                          dtype=np.uint8)
-        if not np.array_equal(predicted, actual):
+        if not np.array_equal(predicted, [stub_product(rec, s) for s in stub_sets]):
             mismatches += 1
     label = "exhaustive" if exhaustive else f"{samples} sampled"
     return CheckResult("syndrome-equivalence", mismatches == 0,

@@ -15,18 +15,19 @@ basis, so outcome-carrying webs may only highlight a stub edge with the
 measured-parity color (the ancilla's opposite color); solve() and
 detectors() impose that restriction.
 
-Variables are ordered x_e, z_e per edge, edges in canonical diagram order.
-Webs are unsigned supports: all sign statements are delegated to the
-stabilizer oracle.
+Variables are ordered x_e, z_e per edge, edges in canonical diagram order;
+a web or rule row is one :mod:`zxwebs.gf2` int row over them (bit 2e is
+x_e). Only the dense views (``Web.bits``, ``SpiderConstraints.matrix``),
+validate_web() and syndrome() import numpy. Webs are unsigned supports:
+all sign statements are delegated to the stabilizer oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from . import gf2
 from .diagram import Color, Diagram, DiagramError, Kind, validate
@@ -58,29 +59,44 @@ def stub_edges(d: Diagram) -> list[tuple[str, str]]:
 
 
 class Web:
-    """One highlight assignment over a diagram's edges."""
+    """One highlight assignment over a diagram's edges, as the int ``mask``.
 
-    def __init__(self, diagram: Diagram, bits: np.ndarray):
-        bits = np.asarray(bits, dtype=np.uint8) & 1
-        if bits.shape != (2 * len(diagram.edges),):
-            raise ValueError("bit vector length must be 2 * number of edges")
-        self.diagram = diagram
-        self.bits = bits
+    ``Web(diagram, bits)`` takes that int or a 0/1 vector of 2|E| entries.
+    """
+
+    def __init__(self, diagram: Diagram, bits):
+        n_vars = 2 * len(diagram.edges)
+        if not isinstance(bits, int):
+            import numpy as np
+            bits = np.asarray(bits, dtype=np.uint8) & 1
+            if bits.shape != (n_vars,):
+                raise ValueError("bit vector length must be 2 * number of edges")
+            bits = gf2.BitMatrix.from_dense(bits).rows[0]
+        elif bits < 0 or bits >> n_vars:
+            raise ValueError("web mask has bits beyond 2 * number of edges")
+        self.diagram, self.mask = diagram, bits
+
+    @cached_property
+    def bits(self):
+        """The web as a read-only uint8 vector, built on first use."""
+        bits = gf2.BitMatrix(2 * len(self.diagram.edges), [self.mask]).to_dense()[0]
+        bits.flags.writeable = False
+        return bits
 
     @classmethod
     def zero(cls, diagram: Diagram) -> "Web":
-        return cls(diagram, np.zeros(2 * len(diagram.edges), dtype=np.uint8))
+        return cls(diagram, 0)
 
     @classmethod
     def from_edge_map(cls, diagram: Diagram,
                       highlights: Mapping[tuple[str, str], Highlight]) -> "Web":
-        web = cls.zero(diagram)
+        mask = 0
         for edge, hl in highlights.items():
             if not diagram.has_edge(*edge):
                 raise DiagramError(f"web references edge {edge!r} absent from diagram")
             var = 2 * diagram.edge_index(*edge)
-            web.bits[var:var + 2] = hl.bits
-        return web
+            mask = mask & ~(3 << var) | _HIGHLIGHT_OF_CODE.index(hl) << var
+        return cls(diagram, mask)
 
     @classmethod
     def from_highlight_names(cls, diagram: Diagram,
@@ -91,19 +107,23 @@ class Web:
         })
 
     def x_bit(self, edge: tuple[str, str]) -> int:
-        return int(self.bits[2 * self.diagram.edge_index(*edge)])
+        return self.mask >> 2 * self.diagram.edge_index(*edge) & 1
 
     def z_bit(self, edge: tuple[str, str]) -> int:
-        return int(self.bits[2 * self.diagram.edge_index(*edge) + 1])
+        return self.mask >> 2 * self.diagram.edge_index(*edge) + 1 & 1
 
     def highlight(self, edge: tuple[str, str]) -> Highlight:
         return Highlight.from_bits(self.x_bit(edge), self.z_bit(edge))
 
-    def _lit(self, index=slice(None)):
-        """(position, highlight) of each highlighted edge among ``index``, in order."""
-        codes = (self.bits[0::2] | self.bits[1::2] << 1)[index]
-        lit = np.flatnonzero(codes)
-        return zip(lit.tolist(), [_HIGHLIGHT_OF_CODE[c] for c in codes[lit].tolist()])
+    def _lit(self, index: Sequence[int] | None = None) -> list[tuple[int, Highlight]]:
+        """(position, highlight) of each highlighted edge among ``index`` (or all)."""
+        codes: dict[int, int] = {}
+        if index is None:
+            for v in gf2.ones(self.mask):
+                codes[v >> 1] = codes.get(v >> 1, 0) | 1 << (v & 1)
+        else:
+            codes = {k: self.mask >> 2 * i & 3 for k, i in enumerate(index)}
+        return [(k, _HIGHLIGHT_OF_CODE[code]) for k, code in codes.items() if code]
 
     def highlight_map(self) -> dict[tuple[str, str], Highlight]:
         """Nonzero highlights keyed by canonical edge pair."""
@@ -122,23 +142,22 @@ class Web:
 
     def stub_set(self) -> frozenset[str]:
         """check_ids of measurement stubs this web highlights."""
-        legs = self.diagram.stub_legs
-        pairs = self.bits.reshape(-1, 2)[[leg.index for leg in legs]]
-        return frozenset(legs[i].outer.check_id for i in np.flatnonzero(pairs.any(axis=1)))
+        stub_of = self.diagram.stub_index
+        return frozenset(stub_of[v >> 1] for v in gf2.ones(self.mask) if v >> 1 in stub_of)
 
     @property
     def is_zero(self) -> bool:
-        return not self.bits.any()
+        return not self.mask
 
     def __xor__(self, other: "Web") -> "Web":
         if other.diagram is not self.diagram and other.diagram != self.diagram:
             raise ValueError("webs belong to different diagrams")
-        return Web(self.diagram, self.bits ^ other.bits)
+        return Web(self.diagram, self.mask ^ other.mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Web):
             return NotImplemented
-        return self.diagram == other.diagram and bool(np.array_equal(self.bits, other.bits))
+        return self.diagram == other.diagram and self.mask == other.mask
 
     def __repr__(self) -> str:
         marks = ", ".join(f"{self.diagram.edge_name(e)}:{hl.value}"
@@ -151,16 +170,15 @@ class SpiderConstraints:
     """The per-spider highlighting rules as a homogeneous GF(2) system."""
 
     diagram: Diagram
-    matrix: np.ndarray               # (rows, 2|E|) uint8
+    rows: tuple[int, ...]            # one int row per rule
     row_spiders: tuple[str, ...]     # spider id per row
 
-
-def _leg_vars(d: Diagram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(spider slot, own-color variable, opposite-color variable) of every spider leg."""
-    t = d.spider_legs
-    spider = np.repeat(np.arange(len(t.spiders)), np.diff(t.starts))
-    own = 2 * t.legs + t.own[spider]
-    return spider, own, own ^ 1
+    @cached_property
+    def matrix(self):
+        """The rows as a read-only (rows, 2|E|) uint8 view, built on first use."""
+        matrix = gf2.BitMatrix(2 * len(self.diagram.edges), list(self.rows)).to_dense()
+        matrix.flags.writeable = False
+        return matrix
 
 
 def spider_constraints(d: Diagram) -> SpiderConstraints:
@@ -174,36 +192,38 @@ def spider_constraints(d: Diagram) -> SpiderConstraints:
     if violations:
         raise DiagramError("diagram is invalid: " + "; ".join(map(str, violations)))
     t = d.spider_legs
-    spider, own, opp = _leg_vars(d)
-    matrix = np.zeros((len(t.legs), 2 * len(d.edges)), dtype=np.uint8)
-    parity = t.starts[1:] - 1
-    tied = np.ones(len(t.legs), dtype=bool)
-    tied[parity] = False
-    tied = np.flatnonzero(tied)
-    matrix[tied, opp[tied]] = 1
-    matrix[tied, opp[tied + 1]] = 1
-    matrix[parity[spider], own] = 1
-    half = np.flatnonzero(t.half)
-    matrix[parity[half], opp[t.starts[half]]] = 1
-    return SpiderConstraints(diagram=d, matrix=matrix,
-                             row_spiders=tuple(t.spiders[k].id for k in spider.tolist()))
+    rows: list[int] = []
+    labels: list[str] = []
+    for k, spider in enumerate(t.spiders):
+        legs = t.legs[t.starts[k]:t.starts[k + 1]]
+        # bits relative to the spider's first variable, shifted into place once
+        base = 2 * legs[0]
+        own = [2 * e - base + t.own[k] for e in legs]
+        opp = [v ^ 1 for v in own]
+        rows += [(1 << a | 1 << b) << base for a, b in zip(opp, opp[1:])]
+        rows.append((sum(1 << v for v in own) | t.half[k] << opp[0]) << base)
+        labels += [spider.id] * len(legs)
+    return SpiderConstraints(diagram=d, rows=tuple(rows), row_spiders=tuple(labels))
 
 
 def validate_web(d: Diagram, w: Web) -> list[str]:
     """Re-check every spider rule directly; returns violated spider ids.
 
-    It reads the web's bits at the diagram's spider-leg table, the same
-    incidence spider_constraints() builds its rows from, but never the
-    constraint matrix, so it can serve as the solver's self-test. A spider
+    It reads the web's dense bits at the diagram's spider-leg table, the
+    same incidence spider_constraints() builds its rows from, but never the
+    constraint rows, so it can serve as the solver's self-test. A spider
     without legs has nothing to highlight and is never reported.
     """
+    import numpy as np
     t = d.spider_legs
-    spider, own, opp = _leg_vars(d)
+    starts = np.asarray(t.starts, dtype=np.intp)
+    spider = np.repeat(np.arange(len(t.spiders)), np.diff(starts))
+    own = 2 * np.asarray(t.legs, dtype=np.intp) + np.asarray(t.own, dtype=np.intp)[spider]
     # per-spider sums of the own and the opposite bits; a legless spider sums to 0
     own_lit = np.bincount(spider, w.bits[own], len(t.spiders))
-    opp_lit = np.bincount(spider, w.bits[opp], len(t.spiders))
-    all_or_none = (opp_lit == 0) | (opp_lit == np.diff(t.starts))
-    bad = ~all_or_none | (own_lit % 2 != (t.half & (opp_lit > 0)))
+    opp_lit = np.bincount(spider, w.bits[own ^ 1], len(t.spiders))
+    all_or_none = (opp_lit == 0) | (opp_lit == np.diff(starts))
+    bad = ~all_or_none | (own_lit % 2 != (np.asarray(t.half, dtype=bool) & (opp_lit > 0)))
     return [t.spiders[k].id for k in np.flatnonzero(bad).tolist()]
 
 
@@ -221,9 +241,9 @@ class WebSpace:
 
 
 def web_space(d: Diagram) -> WebSpace:
-    system = spider_constraints(d)
-    rank = gf2.rank(system.matrix)
-    basis = gf2.nullspace(system.matrix)
+    rows, n_vars = spider_constraints(d).rows, 2 * len(d.edges)
+    rank = gf2.rank_rows(gf2.BitMatrix(n_vars, list(rows)))
+    basis = gf2.nullspace_rows(gf2.BitMatrix(n_vars, list(rows)))
     return WebSpace(diagram=d, basis=tuple(Web(d, v) for v in basis), rank=rank)
 
 
@@ -275,13 +295,6 @@ def _stub_basis_vars(d: Diagram) -> tuple[list[int], list[str]]:
             [leg.outer.id for leg in legs])
 
 
-def _unit_rows(n_vars: int, variables: Sequence[int]) -> np.ndarray:
-    """One constraint row per entry of ``variables``, selecting that variable."""
-    rows = np.zeros((len(variables), n_vars), dtype=np.uint8)
-    rows[np.arange(len(variables)), variables] = 1
-    return rows
-
-
 def solve(d: Diagram, bc: BoundaryCondition) -> Web | Infeasible:
     """Any web matching ``bc`` on the pinned legs, canonicalized, or a witness.
 
@@ -295,21 +308,19 @@ def solve(d: Diagram, bc: BoundaryCondition) -> Web | Infeasible:
     pin_vars = [2 * _leg_index(d, leg_id) + offset for leg_id in pinned for offset in (0, 1)]
     pin_rhs = [bit for leg_id in pinned for bit in bc[leg_id].bits]
     stub_vars, stub_labels = _stub_basis_vars(d)
-    matrix = np.vstack([system.matrix,
-                        _unit_rows(system.matrix.shape[1], pin_vars + stub_vars)])
-    rhs_vec = np.zeros(len(matrix), dtype=np.uint8)
-    rhs_vec[len(system.matrix):len(system.matrix) + len(pin_rhs)] = pin_rhs
-    labels = ([("spider", sid) for sid in system.row_spiders]
-              + [("leg", leg_id) for leg_id in pinned for _ in (0, 1)]
-              + [("leg", sid) for sid in stub_labels])
-    solution, witness = gf2.solve_affine(matrix, rhs_vec)
+    # one unit row per pinned variable, after the spider rules
+    matrix = gf2.BitMatrix(2 * len(d.edges),
+                           [*system.rows, *(1 << v for v in pin_vars + stub_vars)])
+    n_rules = len(system.rows)
+    solution, witness = gf2.solve_affine_rows(
+        matrix, [0] * n_rules + pin_rhs + [0] * len(stub_vars))
     if solution is None:
-        spiders = sorted({labels[i][1] for i in witness if labels[i][0] == "spider"})
-        legs = sorted({labels[i][1] for i in witness if labels[i][0] == "leg"})
-        return Infeasible(spiders=tuple(spiders), legs=tuple(legs))
-    kernel = gf2.nullspace(matrix)
-    canonical = gf2.lexmin_in_coset(solution, kernel, _stub_priority(d))
-    return Web(d, canonical)
+        legs = [leg_id for leg_id in pinned for _ in (0, 1)] + stub_labels
+        return Infeasible(
+            spiders=tuple(sorted({system.row_spiders[i] for i in witness if i < n_rules})),
+            legs=tuple(sorted({legs[i - n_rules] for i in witness if i >= n_rules})))
+    kernel = gf2.BitMatrix(matrix.n_cols, gf2.nullspace_rows(matrix))
+    return Web(d, gf2.lexmin_rows(solution, kernel, _stub_priority(d)))
 
 
 def detectors(d: Diagram) -> list[Web]:
@@ -325,30 +336,20 @@ def detectors(d: Diagram) -> list[Web]:
     the detectors whose pivots lie in a stub set S are the only combination
     that can have stub set S.
     """
-    system = spider_constraints(d)
-    n_vars = system.matrix.shape[1]
+    n_vars = 2 * len(d.edges)
     boundary_vars = [2 * leg.index + offset for leg in d.boundary_legs for offset in (0, 1)]
     stub_vars, _ = _stub_basis_vars(d)
-    # pinned variables are 0 in every such web: drop their columns
-    keep = np.ones(n_vars, dtype=bool)
-    keep[boundary_vars + stub_vars] = False
-    # compress keeps the copy C-ordered, where matrix[:, keep] would not be
-    kernel = gf2.nullspace(system.matrix.compress(keep, axis=1))
-    if kernel.size == 0:
+    # pinned variables are 0 in every such web: clear their columns, so each
+    # is free and its basis vector, its own unit vector, is dropped
+    pinned = gf2.from_ones(boundary_vars + stub_vars, n_vars)
+    kernel = gf2.nullspace_rows(
+        gf2.BitMatrix(n_vars, [row & ~pinned for row in spider_constraints(d).rows]))
+    basis = gf2.BitMatrix(n_vars, [v for v in kernel if not v & pinned])
+    if not basis.rows:
         return []
-    basis = np.zeros((len(kernel), n_vars), dtype=np.uint8)
-    basis[:, keep] = kernel
-    packed = gf2.BitMatrix.from_dense(basis)
-    gf2.rref(packed, col_order=_stub_priority(d))
-    reduced = packed.to_dense()
-    webs = []
-    for vec in reduced:
-        if not vec.any():
-            continue
-        web = Web(d, vec)
-        if web.stub_set():
-            webs.append(web)
-    return webs
+    gf2.rref(basis, col_order=_stub_priority(d))
+    candidates = [Web(d, vec) for vec in basis.rows if vec]
+    return [web for web in candidates if web.stub_set()]
 
 
 @dataclass(frozen=True)
@@ -388,13 +389,14 @@ class PauliErrorSet:
         return iter(self.insertions)
 
 
-def syndrome(ws: Sequence[Web], err: PauliErrorSet) -> np.ndarray:
+def syndrome(ws: Sequence[Web], err: PauliErrorSet):
     """Web-by-web flip parity of an error set: the symplectic overlap.
 
     An insertion with bits (x, z) flips a web carrying (x', z') on its edge
     iff x z' + z x' is odd: X flips webs carrying z, Z those carrying x, and
-    Y (= X + Z) those carrying exactly one of the two.
+    Y (= X + Z) those carrying exactly one of the two. Returns a uint8 array.
     """
+    import numpy as np
     flips: dict[int, np.ndarray] = {}
     bits = np.zeros(len(ws), dtype=np.uint8)
     for i, w in enumerate(ws):

@@ -262,6 +262,32 @@ def test_solve_affine_matches_loop_reference(width):
     assert inconsistent > 0
 
 
+@pytest.mark.parametrize("width", WIDTHS)
+def test_int_row_nullspace_and_solve_affine_match_loop_references(width):
+    rng = np.random.default_rng(5000 + width)
+    inconsistent = 0
+    for rows in (1, width // 2 + 1, width + 5):
+        for density in (0.1, 0.3, 0.5):
+            a = random_matrix(rng, rows, width, density)
+            packed = gf2.BitMatrix.from_dense(a).rows
+            basis = gf2.nullspace_rows(gf2.BitMatrix(width, list(packed)))
+            assert basis == gf2.BitMatrix.from_dense(loop_nullspace(a)).rows
+            # a consistent right-hand side, then a random one
+            for b in ((a @ (rng.random(width) < 0.5)) % 2,
+                      (rng.random(rows) < 0.5).astype(np.uint8)):
+                matrix = gf2.BitMatrix(width, list(packed))
+                got, got_witness = gf2.solve_affine_rows(matrix, b.tolist())
+                assert matrix.rows == packed  # the input rows are left as they were
+                want, want_witness = loop_solve_affine(a, b)
+                assert got_witness == want_witness
+                if want is None:
+                    assert got is None
+                    inconsistent += 1
+                else:
+                    assert got == gf2.BitMatrix.from_dense(want).rows[0]
+    assert inconsistent > 0
+
+
 # -- the pivot loop the two-phase rref kernel replaced, kept as its referee --
 
 

@@ -3,10 +3,14 @@
 The tableau (``oracle``) referees the webs, so it must not share their
 GF(2) code; the webs do not lean on the tableau's Pauli algebra; the
 sampler reads its combinations off the reduced detector basis instead of
-solving for them; and the int-mask Pauli and tableau code needs no numpy.
+solving for them; and the int-row code needs no numpy: ``layout``, ``webs``
+and ``sample`` run without it, checked in subprocesses that cannot load it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,8 +21,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "zxwebs"
 FORBIDDEN = {
     "oracle": {"webs", "gf2", "numpy"},
     "webs": {"pauli", "oracle"},
-    "sampler": {"gf2"},
+    "sampler": {"gf2", "numpy"},
     "pauli": {"numpy"},
+    "diagram": {"numpy"},
+    "surface": {"numpy"},
+    "cli": {"numpy"},
 }
 
 
@@ -46,3 +53,37 @@ def test_imported_modules_reads_every_import_form():
 @pytest.mark.parametrize("module", sorted(FORBIDDEN))
 def test_module_imports_keep_the_layers_apart(module):
     assert not imported_modules(module) & FORBIDDEN[module]
+
+
+# Runs the CLI; with "block", numpy cannot be imported at all. Exits 97 if any
+# numpy module was loaded, else with the CLI's own exit code.
+RUNNER = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from zxwebs import cli
+code = cli.main(sys.argv[2:])
+sys.stdout.flush()
+loaded = [m for m, v in sys.modules.items() if m.split(".")[0] == "numpy" and v is not None]
+sys.exit(97 if loaded else code)
+"""
+
+NUMPY_FREE_RUNS = [
+    ["layout", "-d", "3"],
+    ["webs", "-d", "3", "--rounds", "2", "--scheme", "inject-y"],
+] + [["sample", "-d", "3", "--shots", "40", "-p", "0.05", "--seed", "3",
+      "--format", fmt, "--postselect", post]
+     for fmt in ("json", "csv") for post in ("none", "figure-set", "all-deterministic")]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_RUNS, ids=" ".join)
+def test_cli_runs_without_numpy(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    runs = [subprocess.run([sys.executable, "-c", RUNNER, mode, *argv], env=env,
+                           capture_output=True, timeout=120)
+            for mode in ("free", "block")]
+    free, blocked = runs
+    assert free.returncode == 0, free.stderr.decode()
+    assert blocked.returncode == 0, blocked.stderr.decode()
+    assert free.stdout and blocked.stdout == free.stdout
+    assert blocked.stderr == free.stderr

@@ -135,8 +135,9 @@ def test_every_single_bit_mutation_is_caught(inj3):
     web = solve(diag, correlator_boundary_condition(diag, y_l))
     assert isinstance(web, Web)
     for bit in range(2 * len(diag.edges)):
-        mutated = Web(diag, web.bits.copy())
-        mutated.bits[bit] ^= 1
+        bits = web.bits.copy()
+        bits[bit] ^= 1
+        mutated = Web(diag, bits)
         assert validate_web(diag, mutated) != []
 
 
@@ -436,6 +437,59 @@ def loop_spider_constraints(d):
     return matrix, tuple(labels)
 
 
+def dense_spider_constraints(d):
+    """The dense uint8 rule matrix, built as before the int rows: their referee."""
+    t = d.spider_legs
+    starts = np.asarray(t.starts, dtype=np.intp)
+    spider = np.repeat(np.arange(len(t.spiders)), np.diff(starts))
+    own = 2 * np.asarray(t.legs, dtype=np.intp) + np.asarray(t.own, dtype=np.intp)[spider]
+    opp = own ^ 1
+    matrix = np.zeros((len(t.legs), 2 * len(d.edges)), dtype=np.uint8)
+    parity = starts[1:] - 1
+    tied = np.ones(len(t.legs), dtype=bool)
+    tied[parity] = False
+    tied = np.flatnonzero(tied)
+    matrix[tied, opp[tied]] = 1
+    matrix[tied, opp[tied + 1]] = 1
+    matrix[parity[spider], own] = 1
+    half = np.flatnonzero(np.asarray(t.half, dtype=bool))
+    matrix[parity[half], opp[starts[half]]] = 1
+    return matrix
+
+
+def assert_rows_match_dense_builder(d):
+    system = spider_constraints(d)
+    dense = dense_spider_constraints(d)
+    assert list(system.rows) == gf2.BitMatrix.from_dense(dense).rows
+    assert np.array_equal(system.matrix, dense) and not system.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("scheme", ["memory-z", "memory-x", "inject-y"])
+def test_int_rows_match_the_dense_builder(scheme, d, rounds):
+    assert_rows_match_dense_builder(make_diagram(d, scheme, rounds)[1])
+
+
+def test_int_rows_match_the_dense_builder_on_random_graphs():
+    rng = np.random.default_rng(20240601)  # the generator and seed of the residual test
+    for _ in range(150):
+        assert_rows_match_dense_builder(random_zx_graph(rng))
+
+
+def test_web_holds_one_int_and_a_read_only_dense_view(inj3):
+    _, diag = inj3
+    web = web_space(diag).basis[0]
+    assert isinstance(web.mask, int) and Web(diag, web.bits) == web
+    assert gf2.BitMatrix.from_dense(web.bits).rows == [web.mask]
+    with pytest.raises(ValueError):
+        web.bits[0] ^= 1
+    with pytest.raises(ValueError):
+        Web(diag, 1 << 2 * len(diag.edges))
+    with pytest.raises(ValueError):
+        Web(diag, -1)
+
+
 def loop_validate_web(d, w):
     bad = []
     for s in d.spiders():
@@ -508,8 +562,9 @@ def test_validate_web_matches_loop_reference(reference_diagram):
     for w in basis[:12]:
         assert validate_web(d, w) == loop_validate_web(d, w) == []
         for bit in rng.choice(n_vars, size=min(n_vars, 12), replace=False).tolist():
-            flipped = Web(d, w.bits.copy())
-            flipped.bits[bit] ^= 1
+            bits = w.bits.copy()
+            bits[bit] ^= 1
+            flipped = Web(d, bits)
             bad = validate_web(d, flipped)
             assert bad == loop_validate_web(d, flipped)
 
