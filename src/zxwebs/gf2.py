@@ -1,10 +1,9 @@
 """GF(2) linear algebra on rows held as Python ints: bit c of a row is column c.
 
-:func:`rref` and the ``*_rows`` functions built on it work on int rows only.
-The dense uint8 functions are thin wrappers over them; only they and the
-:class:`BitMatrix` dense converters import numpy. Where only the pivot
-columns and rows of an RREF are read, rows go sparsest first: those depend
-on the row space and column order alone, and sparse pivots make less fill.
+Every function takes a :class:`BitMatrix` and int vectors; only its dense
+converters import numpy. Where only the pivot columns and rows of an RREF
+are read, rows go sparsest first: those depend on the row space and column
+order alone, and sparse pivots make less fill.
 """
 
 from __future__ import annotations
@@ -154,13 +153,13 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     return pivot_cols
 
 
-def rank_rows(matrix: BitMatrix) -> int:
+def rank(matrix: BitMatrix) -> int:
     """The rank of ``matrix``; like :func:`rref`, it reduces the rows in place."""
     matrix.rows.sort(key=int.bit_count)  # sparsest first (module docstring)
     return len(rref(matrix))
 
 
-def nullspace_rows(matrix: BitMatrix) -> list[int]:
+def nullspace(matrix: BitMatrix) -> list[int]:
     """Basis of the right null space of ``matrix``, one int per vector.
 
     Deterministic: free columns are taken in ascending index order and each
@@ -180,14 +179,15 @@ def nullspace_rows(matrix: BitMatrix) -> list[int]:
     return [from_ones(support[f], n_cols) for f in free_cols]
 
 
-def solve_affine_rows(matrix: BitMatrix, rhs: Sequence[int]) -> tuple[int | None, list[int]]:
+def solve_affine(matrix: BitMatrix, rhs: Sequence[int]) -> tuple[int | None, list[int]]:
     """Solve A x = b over GF(2), with b given as one 0/1 entry per row.
 
     Returns (x, []) with the particular solution obtained by zeroing free
     variables, as an int, or (None, witness) where witness lists indices of
     the input rows whose XOR yields an inconsistent 0 = 1 equation. Only an
     inconsistent system is reduced a second time, in row order with an
-    identity tail [A | b | I] that records the row history.
+    identity tail [A | b | I] that records the row history. ``matrix`` is
+    left as it was.
     """
     n_cols, n_rows = matrix.n_cols, matrix.n_rows
     if len(rhs) != n_rows:
@@ -207,49 +207,19 @@ def solve_affine_rows(matrix: BitMatrix, rhs: Sequence[int]) -> tuple[int | None
             return None, ones(bad >> (n_cols + 1))
 
 
-def lexmin_rows(x: int, basis: BitMatrix, col_priority: Iterable[int]) -> int:
+def lexmin_in_coset(x: int, basis: BitMatrix, col_priority: Iterable[int]) -> int:
     """The lexicographically minimal vector of x + span(basis).
 
     Minimality is with respect to ``col_priority``: earlier columns are
-    zeroed first whenever the coset allows it. Like :func:`rref`, it
+    zeroed first whenever the coset allows it. Raises ``ValueError`` when
+    ``x`` has a bit at or above ``basis.n_cols``. Like :func:`rref`, it
     reduces ``basis.rows`` in place.
     """
+    if x >> basis.n_cols:
+        raise ValueError(f"x has bits beyond the basis's {basis.n_cols} columns")
     if not basis.rows:
         return x
     for row, pc in zip(basis.rows, rref(basis, col_order=col_priority)):
         if x >> pc & 1:
             x ^= row
     return x
-
-
-def rank(dense) -> int:
-    return rank_rows(BitMatrix.from_dense(dense))
-
-
-def nullspace(dense):
-    """Basis of the right null space of ``dense``, one uint8 vector per row."""
-    m = BitMatrix.from_dense(dense)
-    return BitMatrix(m.n_cols, nullspace_rows(m)).to_dense()
-
-
-def solve_affine(dense, rhs):
-    """(uint8 solution, []) or (None, witness), as :func:`solve_affine_rows`."""
-    import numpy as np
-    m = BitMatrix.from_dense(dense)
-    rhs = np.asarray(rhs, dtype=np.uint8) & 1
-    if rhs.shape != (m.n_rows,):
-        raise ValueError(f"rhs has shape {rhs.shape} for {m.n_rows} rows")
-    x, witness = solve_affine_rows(m, rhs.tolist())
-    return (None if x is None else BitMatrix(m.n_cols, [x]).to_dense()[0]), witness
-
-
-def lexmin_in_coset(x0, basis, col_priority: list[int]):
-    """The lexicographically minimal vector of x0 + span(basis), as uint8."""
-    import numpy as np
-    x = BitMatrix.from_dense(x0)
-    if np.size(basis):
-        m = BitMatrix.from_dense(basis)
-        if m.n_cols != x.n_cols:
-            raise ValueError(f"basis has {m.n_cols} columns for a vector of {x.n_cols}")
-        x.rows[0] = lexmin_rows(x.rows[0], m, col_priority)
-    return x.to_dense()[0]

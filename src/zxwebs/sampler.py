@@ -41,6 +41,7 @@ is keyed ``"logical"``.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from functools import reduce
 from typing import Iterable, Iterator
 
@@ -67,12 +68,12 @@ def _error_columns(n: int, qubit: int, letter: str) -> list[int]:
 class OutcomeModel:
     """The outcomes of a lowered circuit under init-time Pauli errors.
 
-    ``report`` names the checks whose outcomes each record carries (default:
-    every check); ``postselect`` the checks that must all read +1 for a shot
-    to be accepted, as in :func:`oracle.run`. ``walk`` is the program's
-    :func:`oracle.walk` with ``logical``, if the caller has it already. Only
-    the coins a reported or post-selected check or the logical depends on
-    are ever drawn.
+    ``report`` names the checks whose outcomes each record carries, each
+    once (default: every check); ``postselect`` the checks that must all
+    read +1 for a shot to be accepted, as in :func:`oracle.run`. ``walk`` is
+    the program's :func:`oracle.walk` with ``logical``, if the caller has it
+    already. Only the coins a reported or post-selected check or the logical
+    depends on are ever drawn.
     """
 
     def __init__(self, program: oracle.Program, logical: PauliOperator | None = None, *,
@@ -89,6 +90,10 @@ class OutcomeModel:
         unknown = sorted(set(self.report).union(self.postselect or ()) - set(steps))
         if unknown:
             raise ValueError(f"unknown check ids: {unknown}")
+        # each record zips report with one output per distinct check
+        repeated = sorted(c for c, k in Counter(self.report).items() if k > 1)
+        if repeated:
+            raise ValueError(f"repeated check ids in report: {repeated}")
         self.n = program.structure.n
         self.forced = {c: steps[c].result.deterministic for c in self.report}
         checks = list(dict.fromkeys(self.report + (self.postselect or [])))

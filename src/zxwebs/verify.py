@@ -141,7 +141,6 @@ def _world_line_errors(structure: oracle.DiagramStructure) -> list[tuple[tuple[s
 
 def check_syndrome_equivalence(program: oracle.Program, dets: list[Web], seed: int,
                                exhaustive: bool, samples: int) -> CheckResult:
-    import numpy as np
     diag = program.diagram
     candidates = _world_line_errors(program.structure)
     stub_sets = [w.stub_set() for w in dets]
@@ -158,7 +157,7 @@ def check_syndrome_equivalence(program: oracle.Program, dets: list[Web], seed: i
         err = PauliErrorSet.of(diag, items)
         predicted = webs.syndrome(dets, err)
         rec = oracle.run(program, err, seed=seed)
-        if not np.array_equal(predicted, [stub_product(rec, s) for s in stub_sets]):
+        if predicted.tolist() != [stub_product(rec, s) for s in stub_sets]:
             mismatches += 1
     label = "exhaustive" if exhaustive else f"{samples} sampled"
     return CheckResult("syndrome-equivalence", mismatches == 0,

@@ -17,9 +17,9 @@ detectors() impose that restriction.
 
 Variables are ordered x_e, z_e per edge, edges in canonical diagram order;
 a web or rule row is one :mod:`zxwebs.gf2` int row over them (bit 2e is
-x_e). Only the dense views (``Web.bits``, ``SpiderConstraints.matrix``),
-validate_web() and syndrome() import numpy. Webs are unsigned supports:
-all sign statements are delegated to the stabilizer oracle.
+x_e), and every solve is a gf2 call on those rows. Only ``Web.bits``,
+validate_web() and syndrome()'s returned array use numpy. Webs are unsigned
+supports: all sign statements are delegated to the stabilizer oracle.
 """
 
 from __future__ import annotations
@@ -59,22 +59,12 @@ def stub_edges(d: Diagram) -> list[tuple[str, str]]:
 
 
 class Web:
-    """One highlight assignment over a diagram's edges, as the int ``mask``.
+    """One highlight assignment over a diagram's edges, as the int ``mask``."""
 
-    ``Web(diagram, bits)`` takes that int or a 0/1 vector of 2|E| entries.
-    """
-
-    def __init__(self, diagram: Diagram, bits):
-        n_vars = 2 * len(diagram.edges)
-        if not isinstance(bits, int):
-            import numpy as np
-            bits = np.asarray(bits, dtype=np.uint8) & 1
-            if bits.shape != (n_vars,):
-                raise ValueError("bit vector length must be 2 * number of edges")
-            bits = gf2.BitMatrix.from_dense(bits).rows[0]
-        elif bits < 0 or bits >> n_vars:
+    def __init__(self, diagram: Diagram, mask: int):
+        if mask < 0 or mask >> 2 * len(diagram.edges):
             raise ValueError("web mask has bits beyond 2 * number of edges")
-        self.diagram, self.mask = diagram, bits
+        self.diagram, self.mask = diagram, mask
 
     @cached_property
     def bits(self):
@@ -173,13 +163,6 @@ class SpiderConstraints:
     rows: tuple[int, ...]            # one int row per rule
     row_spiders: tuple[str, ...]     # spider id per row
 
-    @cached_property
-    def matrix(self):
-        """The rows as a read-only (rows, 2|E|) uint8 view, built on first use."""
-        matrix = gf2.BitMatrix(2 * len(self.diagram.edges), list(self.rows)).to_dense()
-        matrix.flags.writeable = False
-        return matrix
-
 
 def spider_constraints(d: Diagram) -> SpiderConstraints:
     """Build the rule system: all-or-none rows, then one parity row per spider.
@@ -242,8 +225,8 @@ class WebSpace:
 
 def web_space(d: Diagram) -> WebSpace:
     rows, n_vars = spider_constraints(d).rows, 2 * len(d.edges)
-    rank = gf2.rank_rows(gf2.BitMatrix(n_vars, list(rows)))
-    basis = gf2.nullspace_rows(gf2.BitMatrix(n_vars, list(rows)))
+    rank = gf2.rank(gf2.BitMatrix(n_vars, list(rows)))
+    basis = gf2.nullspace(gf2.BitMatrix(n_vars, list(rows)))
     return WebSpace(diagram=d, basis=tuple(Web(d, v) for v in basis), rank=rank)
 
 
@@ -312,15 +295,15 @@ def solve(d: Diagram, bc: BoundaryCondition) -> Web | Infeasible:
     matrix = gf2.BitMatrix(2 * len(d.edges),
                            [*system.rows, *(1 << v for v in pin_vars + stub_vars)])
     n_rules = len(system.rows)
-    solution, witness = gf2.solve_affine_rows(
+    solution, witness = gf2.solve_affine(
         matrix, [0] * n_rules + pin_rhs + [0] * len(stub_vars))
     if solution is None:
         legs = [leg_id for leg_id in pinned for _ in (0, 1)] + stub_labels
         return Infeasible(
             spiders=tuple(sorted({system.row_spiders[i] for i in witness if i < n_rules})),
             legs=tuple(sorted({legs[i - n_rules] for i in witness if i >= n_rules})))
-    kernel = gf2.BitMatrix(matrix.n_cols, gf2.nullspace_rows(matrix))
-    return Web(d, gf2.lexmin_rows(solution, kernel, _stub_priority(d)))
+    kernel = gf2.BitMatrix(matrix.n_cols, gf2.nullspace(matrix))
+    return Web(d, gf2.lexmin_in_coset(solution, kernel, _stub_priority(d)))
 
 
 def detectors(d: Diagram) -> list[Web]:
@@ -342,7 +325,7 @@ def detectors(d: Diagram) -> list[Web]:
     # pinned variables are 0 in every such web: clear their columns, so each
     # is free and its basis vector, its own unit vector, is dropped
     pinned = gf2.from_ones(boundary_vars + stub_vars, n_vars)
-    kernel = gf2.nullspace_rows(
+    kernel = gf2.nullspace(
         gf2.BitMatrix(n_vars, [row & ~pinned for row in spider_constraints(d).rows]))
     basis = gf2.BitMatrix(n_vars, [v for v in kernel if not v & pinned])
     if not basis.rows:
@@ -397,15 +380,16 @@ def syndrome(ws: Sequence[Web], err: PauliErrorSet):
     Y (= X + Z) those carrying exactly one of the two. Returns a uint8 array.
     """
     import numpy as np
-    flips: dict[int, np.ndarray] = {}
-    bits = np.zeros(len(ws), dtype=np.uint8)
-    for i, w in enumerate(ws):
+    flips: dict[int, int] = {}  # per diagram, the web bits the errors flip
+    parities = []
+    for w in ws:
         d = w.diagram
         if id(d) not in flips:
             # checked against each web's own diagram: the errors may name foreign edges
-            error_bits = np.zeros((len(d.edges), 2), dtype=int)
+            mask = 0
             for edge, letter in PauliErrorSet.of(d, err.insertions).insertions:
-                error_bits[d.edge_index(*edge)] ^= Highlight(letter).bits
-            flips[id(d)] = error_bits[:, ::-1].ravel().astype(np.uint8)
-        bits[i] = np.count_nonzero(w.bits & flips[id(d)]) & 1
-    return bits
+                x, z = Highlight(letter).bits
+                mask ^= (z | x << 1) << 2 * d.edge_index(*edge)
+            flips[id(d)] = mask
+        parities.append((w.mask & flips[id(d)]).bit_count() & 1)
+    return np.array(parities, dtype=np.uint8)

@@ -3,19 +3,26 @@
 ``Tracer.install`` looks every traced function up with ``getattr`` and no
 default, and the referees and the set-up process import zxwebs names
 directly, so renaming or removing one of them breaks the benchmark rather
-than any test under ``tests/``. The benchmark files are read, never edited:
-``tracer.py`` is loaded by path, and ``referees.py`` and ``run.py`` are
+than any test under ``tests/``. A traced run must also see the calls: the
+tracer wraps names, so work moved under a name it does not list reads as 0
+calls. The benchmark files are read, never edited: ``tracer.py`` is loaded
+by path, ``traced_cli.py`` is run, and ``referees.py`` and ``run.py`` are
 parsed.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_tracer():
@@ -104,3 +111,15 @@ def test_every_name_the_setup_process_uses_exists():
     assert ("zxwebs.cli", "build_diagram") in names
     missing = sorted(n for n in names if not resolves(*n))
     assert missing == []
+
+
+def test_the_tracer_sees_every_gf2_function_the_webs_call(tmp_path):
+    spans = tmp_path / "spans.json"
+    argv = ["webs", "-d", "3", "--rounds", "1", "--scheme", "inject-y"]
+    run = subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans), *argv],
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    summary = tracer.summarize(json.loads(spans.read_text()))
+    calls = {fn: summary[f"gf2.{fn}.calls"] for fn in tracer.FUNCTIONS["gf2"]}
+    assert all(calls.values()), calls

@@ -8,6 +8,7 @@ from zxwebs import gf2, oracle, sampler, webs
 from zxwebs.surface import (
     SCHEMES,
     correlator_boundary_condition,
+    logical_operator,
     logical_operators,
     scheme_circuit,
 )
@@ -39,6 +40,16 @@ def random_matrix(rng, rows, cols, density=0.4):
     return (rng.random((rows, cols)) < density).astype(np.uint8)
 
 
+def packed(dense):
+    """The int rows of a 0/1 matrix or vector."""
+    return gf2.BitMatrix.from_dense(dense)
+
+
+def unpacked(rows, n_cols):
+    """Int rows as a dense uint8 matrix."""
+    return gf2.BitMatrix(n_cols, list(rows)).to_dense()
+
+
 def test_bitmatrix_round_trip():
     rng = np.random.default_rng(0)
     for rows, cols in [(1, 1), (3, 64), (5, 65), (7, 200)]:
@@ -62,19 +73,18 @@ def test_rank_matches_reference(shape):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     for _ in range(10):
         a = random_matrix(rng, *shape)
-        assert gf2.rank(a) == reference_rank(a)
+        assert gf2.rank(packed(a)) == reference_rank(a)
 
 
 def test_nullspace_is_a_null_basis():
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = random_matrix(rng, 12, 18)
-        basis = gf2.nullspace(a)
-        assert len(basis) == 18 - gf2.rank(a)
-        for v in basis:
+        basis = gf2.nullspace(packed(a))
+        assert len(basis) == 18 - gf2.rank(packed(a))
+        for v in unpacked(basis, 18):
             assert not ((a @ v) % 2).any()
-        if len(basis):
-            assert gf2.rank(basis) == len(basis)
+        assert gf2.rank(gf2.BitMatrix(18, basis)) == len(basis)
 
 
 def test_solve_affine_consistent():
@@ -83,16 +93,16 @@ def test_solve_affine_consistent():
         a = random_matrix(rng, 9, 14)
         x = (rng.random(14) < 0.5).astype(np.uint8)
         b = (a @ x) % 2
-        sol, witness = gf2.solve_affine(a, b)
+        sol, witness = gf2.solve_affine(packed(a), b.tolist())
         assert witness == []
-        assert np.array_equal((a @ sol) % 2, b)
+        assert np.array_equal((a @ unpacked([sol], 14)[0]) % 2, b)
 
 
 def test_solve_affine_witness_certifies_inconsistency():
     # x0 = 0 and x0 = 1 cannot both hold; a third row is a bystander
     a = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
     b = np.array([0, 1, 0], dtype=np.uint8)
-    sol, witness = gf2.solve_affine(a, b)
+    sol, witness = gf2.solve_affine(packed(a), b.tolist())
     assert sol is None
     assert witness
     combo_lhs = np.zeros(2, dtype=np.uint8)
@@ -109,7 +119,7 @@ def test_lexmin_matches_brute_force():
         basis = random_matrix(rng, 4, 9)
         x0 = (rng.random(9) < 0.5).astype(np.uint8)
         priority = list(rng.permutation(9))
-        got = gf2.lexmin_in_coset(x0, basis, priority)
+        got = unpacked([gf2.lexmin_in_coset(packed(x0).rows[0], packed(basis), priority)], 9)[0]
         coset = []
         for picks in itertools.product((0, 1), repeat=4):
             v = x0.copy()
@@ -119,7 +129,7 @@ def test_lexmin_matches_brute_force():
             coset.append(tuple(v[c] for c in priority))
         assert tuple(got[c] for c in priority) == min(coset)
         # the result stays inside the coset
-        assert gf2.rank(np.vstack([basis, got ^ x0])) == gf2.rank(basis)
+        assert gf2.rank(packed(np.vstack([basis, got ^ x0]))) == gf2.rank(packed(basis))
 
 
 # -- loop references: the per-bit implementations the packed ones replaced --
@@ -235,9 +245,8 @@ def test_nullspace_matches_loop_reference(width):
     for rows in (0, 1, width // 2, width + 3):
         for density in (0.1, 0.5):
             a = random_matrix(rng, rows, width, density)
-            got = gf2.nullspace(a)
-            want = loop_nullspace(a)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            got = gf2.nullspace(packed(a))
+            assert np.array_equal(unpacked(got, width), loop_nullspace(a))
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -251,14 +260,14 @@ def test_solve_affine_matches_loop_reference(width):
                 b = (a @ (rng.random(width) < 0.5)) % 2   # consistent
             else:
                 b = (rng.random(rows) < 0.5).astype(np.uint8)
-            got, got_witness = gf2.solve_affine(a, b)
+            got, got_witness = gf2.solve_affine(packed(a), b.tolist())
             want, want_witness = loop_solve_affine(a, b)
             assert got_witness == want_witness
             if want is None:
                 assert got is None
                 inconsistent += 1
             else:
-                assert np.array_equal(got, want)
+                assert np.array_equal(unpacked([got], width)[0], want)
     assert inconsistent > 0
 
 
@@ -269,22 +278,22 @@ def test_int_row_nullspace_and_solve_affine_match_loop_references(width):
     for rows in (1, width // 2 + 1, width + 5):
         for density in (0.1, 0.3, 0.5):
             a = random_matrix(rng, rows, width, density)
-            packed = gf2.BitMatrix.from_dense(a).rows
-            basis = gf2.nullspace_rows(gf2.BitMatrix(width, list(packed)))
-            assert basis == gf2.BitMatrix.from_dense(loop_nullspace(a)).rows
+            a_rows = packed(a).rows
+            basis = gf2.nullspace(gf2.BitMatrix(width, list(a_rows)))
+            assert basis == packed(loop_nullspace(a)).rows
             # a consistent right-hand side, then a random one
             for b in ((a @ (rng.random(width) < 0.5)) % 2,
                       (rng.random(rows) < 0.5).astype(np.uint8)):
-                matrix = gf2.BitMatrix(width, list(packed))
-                got, got_witness = gf2.solve_affine_rows(matrix, b.tolist())
-                assert matrix.rows == packed  # the input rows are left as they were
+                matrix = gf2.BitMatrix(width, list(a_rows))
+                got, got_witness = gf2.solve_affine(matrix, b.tolist())
+                assert matrix.rows == a_rows  # the input rows are left as they were
                 want, want_witness = loop_solve_affine(a, b)
                 assert got_witness == want_witness
                 if want is None:
                     assert got is None
                     inconsistent += 1
                 else:
-                    assert got == gf2.BitMatrix.from_dense(want).rows[0]
+                    assert got == packed(want).rows[0]
     assert inconsistent > 0
 
 
@@ -369,15 +378,20 @@ def test_rref_rejects_columns_outside_the_matrix(order):
 
 
 def test_lexmin_rejects_a_basis_of_another_width():
+    for x in (0b101, -1):
+        with pytest.raises(ValueError, match="columns"):
+            gf2.lexmin_in_coset(x, gf2.BitMatrix(2, [0b11]), range(2))
+    # an empty basis still has a width
     with pytest.raises(ValueError, match="columns"):
-        gf2.lexmin_in_coset(np.array([1, 0, 1]), np.ones((1, 5), dtype=np.uint8), range(5))
+        gf2.lexmin_in_coset(0b100, gf2.BitMatrix(2, []), range(2))
+    assert gf2.lexmin_in_coset(0b10, gf2.BitMatrix(2, []), range(2)) == 0b10
 
 
 def test_solve_affine_rejects_rhs_of_the_wrong_length():
-    a = np.eye(3, dtype=np.uint8)
+    a = packed(np.eye(3, dtype=np.uint8))
     for rhs in ([1, 0], [0, 0, 0, 0], [0, 0, 0, 1]):
         with pytest.raises(ValueError, match="rhs"):
-            gf2.solve_affine(a, np.array(rhs, dtype=np.uint8))
+            gf2.solve_affine(a, rhs)
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3])
@@ -411,17 +425,46 @@ def test_rref_matches_loop_on_every_pipeline_call(monkeypatch, scheme, d, rounds
     assert infeasible or scheme != "inject-y"   # its Z correlator is infeasible
 
 
+def witness_subsystem(diagram, bc, witness):
+    """The rule rows of the witness spiders and the pins of its legs, dense, with b."""
+    system = webs.spider_constraints(diagram)
+    rows = [row for row, s in zip(system.rows, system.row_spiders) if s in witness.spiders]
+    rhs = [0] * len(rows)
+    for leg_id in set(witness.legs) & set(bc):
+        var = 2 * webs._leg_index(diagram, leg_id)
+        rows += [1 << var, 1 << var + 1]
+        rhs += bc[leg_id].bits
+    for var, stub in zip(*webs._stub_basis_vars(diagram)):
+        if stub in witness.legs:
+            rows.append(1 << var)
+            rhs.append(0)
+    return unpacked(rows, 2 * len(diagram.edges)), rhs
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("d", [3, 5])
+def test_infeasible_witness_is_an_inconsistent_subsystem(monkeypatch, d, rounds):
+    layout, diagram, _ = scheme_circuit(d, "inject-y", rounds)
+    bc = correlator_boundary_condition(diagram, logical_operator(layout, "Z"))
+    witness = webs.solve(diagram, bc)
+    assert isinstance(witness, webs.Infeasible) and witness.spiders and witness.legs
+    a, b = witness_subsystem(diagram, bc, witness)
+    monkeypatch.setattr(gf2, "rref", loop_rref)  # no production kernel in the referee
+    x, rows = loop_solve_affine(a, b)
+    assert x is None and rows
+
+
 @pytest.fixture(scope="module")
 def constraints_d9r3():
     _, diagram, _ = scheme_circuit(9, "inject-y", 3)
-    return webs.spider_constraints(diagram).matrix
+    return unpacked(webs.spider_constraints(diagram).rows, 2 * len(diagram.edges))
 
 
-def traced_peak(fn, *args):
-    """The peak of traced allocations during ``fn(*args)``, and its result."""
+def traced_peak(fn):
+    """The peak of traced allocations during ``fn()``, and its result."""
     tracemalloc.start()
     try:
-        result = fn(*args)
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -431,10 +474,11 @@ def traced_peak(fn, *args):
 def test_nullspace_and_solve_affine_make_no_full_size_uint8_copy(constraints_d9r3):
     a = constraints_d9r3
     assert a.dtype == np.uint8 and a.nbytes > 8_000_000
-    # the Python-int rows and the column index take about a.nbytes / 8 each,
-    # twice that for the [A | b | I] rows of solve_affine: about 0.5 and 0.4
-    # in all. One full-size uint8 temporary alone would take a.nbytes.
-    peak, basis = traced_peak(gf2.nullspace, a)
-    assert (peak - basis.nbytes) / a.nbytes < 0.8
-    peak, (x, _) = traced_peak(gf2.solve_affine, a, np.zeros(len(a), dtype=np.uint8))
-    assert (peak - x.nbytes) / a.nbytes < 0.8
+    # packed from the dense matrix, the Python-int rows and the column index
+    # take about a.nbytes / 8 each, twice that for the [A | b | I] rows of
+    # solve_affine: about 0.2 and 0.3 in all, results included. One
+    # full-size uint8 temporary alone would take a.nbytes.
+    peak, _ = traced_peak(lambda: gf2.nullspace(packed(a)))
+    assert peak / a.nbytes < 0.8
+    peak, _ = traced_peak(lambda: gf2.solve_affine(packed(a), [0] * len(a)))
+    assert peak / a.nbytes < 0.8

@@ -145,3 +145,14 @@ def test_unknown_checks_and_bad_insertions_are_rejected():
         next(model.shots(0, 1, fixed=[(0, "W")]))
     with pytest.raises(ValueError, match="outside"):
         next(model.shots(0, 1, fixed=[(9, "X")]))
+
+
+def test_repeated_report_ids_are_rejected():
+    _, diag, logical = scheme_circuit(3, "inject-y")
+    program = oracle.lower(diag)
+    with pytest.raises(ValueError, match=r"repeated check ids in report: \['r1.Z0'\]"):
+        sampler.OutcomeModel(program, logical, report=["r1.Z0", "r1.X1", "r1.Z0"])
+    # a repeated post-selected check is the same condition twice
+    twice = sampler.OutcomeModel(program, logical, postselect=["r1.Z0", "r1.Z0"])
+    once = sampler.OutcomeModel(program, logical, postselect=["r1.Z0"])
+    assert list(twice.shots(1, 5, error_rate=0.3)) == list(once.shots(1, 5, error_rate=0.3))

@@ -25,6 +25,16 @@ from zxwebs.webs import _stub_basis_vars, _stub_priority
 from conftest import make_diagram
 
 
+def dense_web(d, bits):
+    """The web of a 0/1 vector over ``d``'s 2|E| variables."""
+    return Web(d, gf2.BitMatrix.from_dense(bits).rows[0])
+
+
+def dense_constraints(system):
+    """The rule rows of ``system`` as a (rows, 2|E|) uint8 matrix."""
+    return gf2.BitMatrix(2 * len(system.diagram.edges), list(system.rows)).to_dense()
+
+
 def single_spider(color, phase):
     return Diagram(
         nodes=[Node.spider("s", color, phase, (0, 0, 0)),
@@ -110,11 +120,11 @@ def test_constraint_counts_are_deterministic(inj3):
     _, diag = inj3
     sys1 = spider_constraints(diag)
     sys2 = spider_constraints(diag)
-    assert np.array_equal(sys1.matrix, sys2.matrix)
+    assert sys1.rows == sys2.rows
     assert sys1.row_spiders == sys2.row_spiders
     # one parity row per spider plus (deg-1) equality rows
     expected = sum(diag.degree(s.id) for s in diag.spiders())
-    assert sys1.matrix.shape[0] == expected
+    assert len(sys1.rows) == expected
 
 
 def test_web_space_basis_passes_validate_web(inj3):
@@ -135,9 +145,7 @@ def test_every_single_bit_mutation_is_caught(inj3):
     web = solve(diag, correlator_boundary_condition(diag, y_l))
     assert isinstance(web, Web)
     for bit in range(2 * len(diag.edges)):
-        bits = web.bits.copy()
-        bits[bit] ^= 1
-        mutated = Web(diag, bits)
+        mutated = Web(diag, web.mask ^ 1 << bit)
         assert validate_web(diag, mutated) != []
 
 
@@ -240,17 +248,17 @@ def test_detectors_d3_memory_z_two_rounds():
 
 def stacked_pin_detectors(d):
     """Detectors with each pinned variable a stacked unit row, as they were built before."""
-    matrix = spider_constraints(d).matrix
+    matrix = dense_constraints(spider_constraints(d))
     pinned = [2 * leg.index + offset for leg in d.boundary_legs for offset in (0, 1)]
     pinned += _stub_basis_vars(d)[0]
     units = np.zeros((len(pinned), matrix.shape[1]), dtype=np.uint8)
     units[np.arange(len(pinned)), pinned] = 1
-    basis = gf2.nullspace(np.vstack([matrix, units]))
-    if basis.size == 0:
+    basis = gf2.BitMatrix(matrix.shape[1], gf2.nullspace(
+        gf2.BitMatrix.from_dense(np.vstack([matrix, units]))))
+    if not basis.rows:
         return []
-    packed = gf2.BitMatrix.from_dense(basis)
-    gf2.rref(packed, col_order=_stub_priority(d))
-    return [Web(d, v) for v in packed.to_dense() if v.any() and Web(d, v).stub_set()]
+    gf2.rref(basis, col_order=_stub_priority(d))
+    return [Web(d, v) for v in basis.rows if v and Web(d, v).stub_set()]
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3])
@@ -272,7 +280,7 @@ def test_syndrome_basics(memz5):
     dets = detectors(diag)
     names = [next(iter(w.stub_set())) for w in dets]
     empty = syndrome(dets, PauliErrorSet.empty())
-    assert not empty.any()
+    assert empty.dtype == np.uint8 and empty.shape == (len(dets),) and not empty.any()
     err9 = PauliErrorSet.of(diag, [(("q9.l0", "q9.l1"), "X")])
     syn = syndrome(dets, err9)
     assert [names[i] for i in np.nonzero(syn)[0]] == ["r1.Z3"]
@@ -461,7 +469,6 @@ def assert_rows_match_dense_builder(d):
     system = spider_constraints(d)
     dense = dense_spider_constraints(d)
     assert list(system.rows) == gf2.BitMatrix.from_dense(dense).rows
-    assert np.array_equal(system.matrix, dense) and not system.matrix.flags.writeable
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3])
@@ -480,7 +487,7 @@ def test_int_rows_match_the_dense_builder_on_random_graphs():
 def test_web_holds_one_int_and_a_read_only_dense_view(inj3):
     _, diag = inj3
     web = web_space(diag).basis[0]
-    assert isinstance(web.mask, int) and Web(diag, web.bits) == web
+    assert isinstance(web.mask, int) and dense_web(diag, web.bits) == web
     assert gf2.BitMatrix.from_dense(web.bits).rows == [web.mask]
     with pytest.raises(ValueError):
         web.bits[0] ^= 1
@@ -544,8 +551,7 @@ def reference_diagram(request):
 def test_spider_constraints_matches_loop_reference(reference_diagram):
     system = spider_constraints(reference_diagram)
     matrix, labels = loop_spider_constraints(reference_diagram)
-    assert system.matrix.dtype == np.uint8
-    assert np.array_equal(system.matrix, matrix)
+    assert np.array_equal(dense_constraints(system), matrix)
     assert system.row_spiders == labels
 
 
@@ -555,16 +561,14 @@ def test_validate_web_matches_loop_reference(reference_diagram):
     n_vars = 2 * len(d.edges)
     for density in (0.02, 0.2, 0.5):
         for _ in range(8):
-            w = Web(d, rng.random(n_vars) < density)
+            w = dense_web(d, rng.random(n_vars) < density)
             assert validate_web(d, w) == loop_validate_web(d, w)
     basis = web_space(d).basis
     assert basis
     for w in basis[:12]:
         assert validate_web(d, w) == loop_validate_web(d, w) == []
         for bit in rng.choice(n_vars, size=min(n_vars, 12), replace=False).tolist():
-            bits = w.bits.copy()
-            bits[bit] ^= 1
-            flipped = Web(d, bits)
+            flipped = Web(d, w.mask ^ 1 << bit)
             bad = validate_web(d, flipped)
             assert bad == loop_validate_web(d, flipped)
 
@@ -598,7 +602,7 @@ def test_check_web_space_matches_loop_reference(reference_diagram):
     d = reference_diagram
     space = web_space(d)
     rng = np.random.default_rng(len(d.edges) + 1)
-    noise = tuple(Web(d, rng.random(2 * len(d.edges)) < 0.3) for _ in range(6))
+    noise = tuple(dense_web(d, rng.random(2 * len(d.edges)) < 0.3) for _ in range(6))
     for basis in (space.basis, noise, space.basis[:1] + noise[:1], ()):
         trial = WebSpace(diagram=d, basis=basis, rank=space.rank)
         assert check_web_space(d, trial) == loop_check_web_space(d, trial)
@@ -663,8 +667,10 @@ def test_validate_web_agrees_with_matrix_residual_on_random_graphs():
         d = random_zx_graph(rng)
         assert validate(d) == []
         system = spider_constraints(d)
-        n_vars = system.matrix.shape[1]
-        kernel = gf2.nullspace(system.matrix)
+        matrix = dense_constraints(system)
+        n_vars = matrix.shape[1]
+        kernel = gf2.BitMatrix(n_vars, gf2.nullspace(
+            gf2.BitMatrix(n_vars, list(system.rows)))).to_dense()
         candidates = [rng.random(n_vars) < p for p in (0.1, 0.3, 0.5)]
         for _ in range(3):
             valid = (rng.random(len(kernel)) < 0.5).astype(np.uint8) @ kernel % 2
@@ -673,8 +679,8 @@ def test_validate_web_agrees_with_matrix_residual_on_random_graphs():
             flipped[rng.integers(n_vars)] ^= 1
             candidates.append(flipped)
         for bits in candidates:
-            w = Web(d, bits)
-            residual = np.count_nonzero(system.matrix & w.bits, axis=1) % 2
+            w = dense_web(d, bits)
+            residual = np.count_nonzero(matrix & w.bits, axis=1) % 2
             expected = {system.row_spiders[r] for r in np.flatnonzero(residual)}
             got = validate_web(d, w)
             assert set(got) == expected
