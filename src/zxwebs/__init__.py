@@ -33,6 +33,7 @@ from .webs import (
     Web,
     WebSpace,
     detectors,
+    flip_parities,
     solve,
     spider_constraints,
     syndrome,

@@ -140,6 +140,26 @@ class SpiderLegs(NamedTuple):
     half: tuple[bool, ...]
 
 
+class SpiderMasks(NamedTuple):
+    """A run of spiders' legs as bit masks over a web's 2|E| variables.
+
+    Bit 2e + c of a web is color c (0 for X, 1 for Z) of edge e. ``spiders``
+    holds (id, parity, opp) per spider, in leg-table order. ``opp`` is the
+    opposite color's bit on each of its legs. ``parity`` is its own color's
+    bit on each leg, plus, for a ±pi/2 phase, the opposite bit of its last
+    leg: once all or none of the opposite bits are lit, that bit is their
+    shared value, which such a spider's own count must match mod 2. ``lit``
+    is every bit of the run. All masks are shifted down by ``lo``.
+    """
+
+    lo: int
+    lit: int
+    spiders: tuple[tuple[str, int, int], ...]
+
+
+SPIDERS_PER_RUN = 16  # one window shift per run; 8, 16 and 32 timed alike at d=5 and d=9
+
+
 class DiagramError(ValueError):
     """Structural problem that prevents building a Diagram at all."""
 
@@ -286,6 +306,32 @@ class Diagram:
         return SpiderLegs(spiders, tuple(i for _, i in ends), starts,
                           tuple(int(s.color is Color.Z) for s in spiders),
                           tuple(s.phase.is_half for s in spiders))
+
+    @cached_property
+    def spider_masks(self) -> tuple[SpiderMasks, ...]:
+        """The spider-leg table as web-variable masks, in runs of spiders.
+
+        Spiders without legs are left out, so they are never read.
+        """
+        t = self.spider_legs
+        masks = []  # (id, base, parity, opp) per spider, masks shifted down by base
+        for k, s in enumerate(t.spiders):
+            legs = t.legs[t.starts[k]:t.starts[k + 1]]
+            if legs:
+                own = [2 * (e - legs[0]) + t.own[k] for e in legs]
+                parity = sum(1 << v for v in own) | t.half[k] << (own[-1] ^ 1)
+                masks.append((s.id, 2 * legs[0], parity, sum(1 << (v ^ 1) for v in own)))
+        runs = []
+        for i in range(0, len(masks), SPIDERS_PER_RUN):
+            run = masks[i:i + SPIDERS_PER_RUN]
+            lo = min(base for _, base, _, _ in run)
+            spiders = tuple((sid, parity << base - lo, opp << base - lo)
+                            for sid, base, parity, opp in run)
+            lit = 0  # spiders of one run may share an edge: OR, not sum
+            for _, parity, opp in spiders:
+                lit |= parity | opp
+            runs.append(SpiderMasks(lo, lit, spiders))
+        return tuple(runs)
 
     def incident_edges(self, node_id: str) -> tuple[tuple[str, str], ...]:
         """Incident edges of a node, in canonical edge order."""

@@ -164,11 +164,11 @@ def nullspace(matrix: BitMatrix) -> list[int]:
 
     Deterministic: free columns are taken in ascending index order and each
     basis vector is the standard back-substituted vector for one free column.
-    Like :func:`rref`, it reduces ``matrix.rows`` in place.
+    Like :func:`rref`, it reduces ``matrix.rows`` in place, through :func:`rank`.
     """
     n_cols = matrix.n_cols
-    matrix.rows.sort(key=int.bit_count)  # sparsest first (module docstring)
-    pivot_cols = rref(matrix)
+    # in natural column order, pivot k is the lowest set bit of RREF row k
+    pivot_cols = [(row & -row).bit_length() - 1 for row in matrix.rows[:rank(matrix)]]
     free_cols = sorted(set(range(n_cols)).difference(pivot_cols))
     free = from_ones(free_cols, n_cols)
     # pivot row k holds the free-column coefficients of pivot variable k

@@ -17,16 +17,17 @@ detectors() impose that restriction.
 
 Variables are ordered x_e, z_e per edge, edges in canonical diagram order;
 a web or rule row is one :mod:`zxwebs.gf2` int row over them (bit 2e is
-x_e), and every solve is a gf2 call on those rows. Only ``Web.bits``,
-validate_web() and syndrome()'s returned array use numpy. Webs are unsigned
-supports: all sign statements are delegated to the stabilizer oracle.
+x_e), and every solve is a gf2 call on those rows. validate_web() reads a
+web through the diagram's per-spider leg masks and flip_parities() through
+one error mask, both ints; only syndrome(), which returns flip_parities()
+as a uint8 array, imports numpy. Webs are unsigned supports: all sign
+statements are delegated to the stabilizer oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gf2
@@ -65,13 +66,6 @@ class Web:
         if mask < 0 or mask >> 2 * len(diagram.edges):
             raise ValueError("web mask has bits beyond 2 * number of edges")
         self.diagram, self.mask = diagram, mask
-
-    @cached_property
-    def bits(self):
-        """The web as a read-only uint8 vector, built on first use."""
-        bits = gf2.BitMatrix(2 * len(self.diagram.edges), [self.mask]).to_dense()[0]
-        bits.flags.writeable = False
-        return bits
 
     @classmethod
     def zero(cls, diagram: Diagram) -> "Web":
@@ -192,22 +186,24 @@ def spider_constraints(d: Diagram) -> SpiderConstraints:
 def validate_web(d: Diagram, w: Web) -> list[str]:
     """Re-check every spider rule directly; returns violated spider ids.
 
-    It reads the web's dense bits at the diagram's spider-leg table, the
-    same incidence spider_constraints() builds its rows from, but never the
-    constraint rows, so it can serve as the solver's self-test. A spider
-    without legs has nothing to highlight and is never reported.
+    It reads the web's mask through ``d.spider_masks``, built from the same
+    spider-leg table spider_constraints() builds its rows from, but never
+    the constraint rows, so it can serve as the solver's self-test. Ids come
+    in leg-table order. A spider without legs has nothing to highlight and
+    is never reported; a run of spiders none of whose legs is lit is
+    skipped whole.
     """
-    import numpy as np
-    t = d.spider_legs
-    starts = np.asarray(t.starts, dtype=np.intp)
-    spider = np.repeat(np.arange(len(t.spiders)), np.diff(starts))
-    own = 2 * np.asarray(t.legs, dtype=np.intp) + np.asarray(t.own, dtype=np.intp)[spider]
-    # per-spider sums of the own and the opposite bits; a legless spider sums to 0
-    own_lit = np.bincount(spider, w.bits[own], len(t.spiders))
-    opp_lit = np.bincount(spider, w.bits[own ^ 1], len(t.spiders))
-    all_or_none = (opp_lit == 0) | (opp_lit == np.diff(starts))
-    bad = ~all_or_none | (own_lit % 2 != (np.asarray(t.half, dtype=bool) & (opp_lit > 0)))
-    return [t.spiders[k].id for k in np.flatnonzero(bad).tolist()]
+    mask, bad = w.mask, []
+    for lo, lit, spiders in d.spider_masks:
+        window = mask >> lo & lit
+        if not window:
+            continue
+        for spider_id, parity, opp in spiders:
+            opp_lit = window & opp
+            # all or none of the legs opposite, then an even parity count
+            if opp_lit and opp_lit != opp or (window & parity).bit_count() & 1:
+                bad.append(spider_id)
+    return bad
 
 
 @dataclass(frozen=True)
@@ -224,10 +220,11 @@ class WebSpace:
 
 
 def web_space(d: Diagram) -> WebSpace:
-    rows, n_vars = spider_constraints(d).rows, 2 * len(d.edges)
-    rank = gf2.rank(gf2.BitMatrix(n_vars, list(rows)))
-    basis = gf2.nullspace(gf2.BitMatrix(n_vars, list(rows)))
-    return WebSpace(diagram=d, basis=tuple(Web(d, v) for v in basis), rank=rank)
+    n_vars = 2 * len(d.edges)
+    basis = gf2.nullspace(gf2.BitMatrix(n_vars, list(spider_constraints(d).rows)))
+    # one elimination: the rank is what the null space leaves of the variables
+    return WebSpace(diagram=d, basis=tuple(Web(d, v) for v in basis),
+                    rank=n_vars - len(basis))
 
 
 @dataclass(frozen=True)
@@ -372,14 +369,14 @@ class PauliErrorSet:
         return iter(self.insertions)
 
 
-def syndrome(ws: Sequence[Web], err: PauliErrorSet):
+def flip_parities(ws: Sequence[Web], err: PauliErrorSet) -> list[int]:
     """Web-by-web flip parity of an error set: the symplectic overlap.
 
     An insertion with bits (x, z) flips a web carrying (x', z') on its edge
     iff x z' + z x' is odd: X flips webs carrying z, Z those carrying x, and
-    Y (= X + Z) those carrying exactly one of the two. Returns a uint8 array.
+    Y (= X + Z) those carrying exactly one of the two. Returns one 0/1 int
+    per web.
     """
-    import numpy as np
     flips: dict[int, int] = {}  # per diagram, the web bits the errors flip
     parities = []
     for w in ws:
@@ -392,4 +389,10 @@ def syndrome(ws: Sequence[Web], err: PauliErrorSet):
                 mask ^= (z | x << 1) << 2 * d.edge_index(*edge)
             flips[id(d)] = mask
         parities.append((w.mask & flips[id(d)]).bit_count() & 1)
-    return np.array(parities, dtype=np.uint8)
+    return parities
+
+
+def syndrome(ws: Sequence[Web], err: PauliErrorSet):
+    """flip_parities() as a uint8 array."""
+    import numpy as np
+    return np.array(flip_parities(ws, err), dtype=np.uint8)

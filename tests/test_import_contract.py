@@ -3,8 +3,9 @@
 The tableau (``oracle``) referees the webs, so it must not share their
 GF(2) code; the webs do not lean on the tableau's Pauli algebra; the
 sampler reads its combinations off the reduced detector basis instead of
-solving for them; and the int-row code needs no numpy: ``layout``, ``webs``
-and ``sample`` run without it, checked in subprocesses that cannot load it.
+solving for them; and the int-row code needs no numpy: ``layout``, ``webs``,
+``sample`` and ``verify`` run without it, checked in subprocesses that
+cannot load it.
 """
 
 import ast
@@ -74,6 +75,8 @@ sys.exit(97 if loaded else code)
 NUMPY_FREE_RUNS = [
     ["layout", "-d", "3"],
     ["webs", "-d", "3", "--rounds", "2", "--scheme", "inject-y"],
+    ["verify", "-d", "3", "--rounds", "2", "--samples", "20", "--footnote5"],
+    ["verify", "-d", "3", "--exhaustive-errors"],
 ] + [["sample", "-d", "3", "--shots", "40", "-p", "0.05", "--seed", "3",
       "--format", fmt, "--postselect", post]
      for fmt in ("json", "csv") for post in ("none", "figure-set", "all-deterministic")]

@@ -75,6 +75,19 @@ def test_measure_random_then_idempotent():
         t.check_valid()
 
 
+@pytest.mark.parametrize("c0, c1", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_random_measurement_carries_the_coins_of_the_rows_it_multiplies(c0, c1):
+    # after X0 and X1 come out random, Z0Z1 anticommutes with both: one
+    # becomes X0X1, whose sign and aux then hold both coins
+    t = prepare({q: InitState.ZERO for q in range(3)})
+    assert t.measure(op(3, {0: "X"}), random_bit=c0).aux == 0b1
+    assert t.measure(op(3, {1: "X"}), random_bit=c1).aux == 0b10
+    assert not t.measure(op(3, {0: "Z", 1: "Z"}), random_bit=1).deterministic
+    res = t.measure(op(3, {0: "X", 1: "X"}))
+    assert res == MeasureResult(outcome=c0 ^ c1, deterministic=True, aux=0b11)
+    t.check_valid()
+
+
 def test_remeasuring_every_check_is_idempotent(inj3):
     _, diag = inj3
     tableau = None

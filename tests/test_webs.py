@@ -14,6 +14,7 @@ from zxwebs.webs import (
     Web,
     WebSpace,
     detectors,
+    flip_parities,
     solve,
     spider_constraints,
     syndrome,
@@ -28,6 +29,11 @@ from conftest import make_diagram
 def dense_web(d, bits):
     """The web of a 0/1 vector over ``d``'s 2|E| variables."""
     return Web(d, gf2.BitMatrix.from_dense(bits).rows[0])
+
+
+def web_bits(w):
+    """The 0/1 uint8 vector of ``w`` over its diagram's 2|E| variables."""
+    return gf2.BitMatrix(2 * len(w.diagram.edges), [w.mask]).to_dense()[0]
 
 
 def dense_constraints(system):
@@ -284,6 +290,8 @@ def test_syndrome_basics(memz5):
     err9 = PauliErrorSet.of(diag, [(("q9.l0", "q9.l1"), "X")])
     syn = syndrome(dets, err9)
     assert [names[i] for i in np.nonzero(syn)[0]] == ["r1.Z3"]
+    assert flip_parities(dets, err9) == syn.tolist()
+    assert flip_parities(dets, PauliErrorSet.empty()) == [0] * len(dets)
     # Y insertion == X then Z insertions on the same edge
     y_err = PauliErrorSet.of(diag, [(("q9.l0", "q9.l1"), "Y")])
     xz_err = PauliErrorSet.of(diag, [(("q9.l0", "q9.l1"), "X"),
@@ -332,8 +340,9 @@ _REFERENCE_HIGHLIGHT = {(0, 0): Highlight.NONE, (1, 0): Highlight.X,
 
 def loop_highlight_map(w):
     out = {}
+    bits = web_bits(w)
     for i, edge in enumerate(w.diagram.edges):
-        hl = _REFERENCE_HIGHLIGHT[(int(w.bits[2 * i]), int(w.bits[2 * i + 1]))]
+        hl = _REFERENCE_HIGHLIGHT[(int(bits[2 * i]), int(bits[2 * i + 1]))]
         if hl is not Highlight.NONE:
             out[edge] = hl
     return out
@@ -341,8 +350,9 @@ def loop_highlight_map(w):
 
 def loop_boundary_restriction(w):
     out = {}
+    bits = web_bits(w)
     for leg in w.diagram.boundary_legs:
-        hl = _REFERENCE_HIGHLIGHT[(int(w.bits[2 * leg.index]), int(w.bits[2 * leg.index + 1]))]
+        hl = _REFERENCE_HIGHLIGHT[(int(bits[2 * leg.index]), int(bits[2 * leg.index + 1]))]
         if hl is not Highlight.NONE:
             out[leg.outer.id] = hl
     return out
@@ -405,6 +415,7 @@ def test_syndrome_matches_loop_reference(seeded_webs):
                  for _ in range(k)]
         err = PauliErrorSet.of(diag, items)
         assert np.array_equal(syndrome(ws, err), loop_syndrome(ws, err))
+        assert flip_parities(ws, err) == loop_syndrome(ws, err).tolist()
     # Y insertions flip exactly the webs whose X and Z insertions flip differently
     for edge in edges[:: max(1, len(edges) // 15)]:
         y, x, z = (syndrome(ws, PauliErrorSet.of(diag, [(edge, c)])) for c in "YXZ")
@@ -484,13 +495,12 @@ def test_int_rows_match_the_dense_builder_on_random_graphs():
         assert_rows_match_dense_builder(random_zx_graph(rng))
 
 
-def test_web_holds_one_int_and_a_read_only_dense_view(inj3):
+def test_web_holds_one_int_and_no_dense_view(inj3):
     _, diag = inj3
     web = web_space(diag).basis[0]
-    assert isinstance(web.mask, int) and dense_web(diag, web.bits) == web
-    assert gf2.BitMatrix.from_dense(web.bits).rows == [web.mask]
-    with pytest.raises(ValueError):
-        web.bits[0] ^= 1
+    assert isinstance(web.mask, int) and dense_web(diag, web_bits(web)) == web
+    assert gf2.BitMatrix.from_dense(web_bits(web)).rows == [web.mask]
+    assert not hasattr(web, "bits")
     with pytest.raises(ValueError):
         Web(diag, 1 << 2 * len(diag.edges))
     with pytest.raises(ValueError):
@@ -571,6 +581,71 @@ def test_validate_web_matches_loop_reference(reference_diagram):
             flipped = Web(d, w.mask ^ 1 << bit)
             bad = validate_web(d, flipped)
             assert bad == loop_validate_web(d, flipped)
+
+
+# -- the numpy validate_web the per-spider int masks replaced, as their referee --
+
+
+def dense_validate_web(d, w):
+    t = d.spider_legs
+    starts = np.asarray(t.starts, dtype=np.intp)
+    spider = np.repeat(np.arange(len(t.spiders)), np.diff(starts))
+    own = 2 * np.asarray(t.legs, dtype=np.intp) + np.asarray(t.own, dtype=np.intp)[spider]
+    bits = web_bits(w)
+    # per-spider sums of the own and the opposite bits; a legless spider sums to 0
+    own_lit = np.bincount(spider, bits[own], len(t.spiders))
+    opp_lit = np.bincount(spider, bits[own ^ 1], len(t.spiders))
+    all_or_none = (opp_lit == 0) | (opp_lit == np.diff(starts))
+    bad = ~all_or_none | (own_lit % 2 != (np.asarray(t.half, dtype=bool) & (opp_lit > 0)))
+    return [t.spiders[k].id for k in np.flatnonzero(bad).tolist()]
+
+
+def basis_combos_and_mutants(d, rng, n_combos):
+    """The web-space basis, random combinations of it, and single-bit mutants of both."""
+    basis = list(web_space(d).basis)
+    combos = []
+    for _ in range(n_combos):
+        acc = 0
+        for w in basis:
+            if rng.random() < 0.5:
+                acc ^= w.mask
+        combos.append(Web(d, acc))
+    n_vars = 2 * len(d.edges)
+    mutants = [Web(d, w.mask ^ 1 << int(rng.integers(n_vars))) for w in basis + combos]
+    return basis + combos, mutants
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("scheme", ["memory-z", "memory-x", "inject-y"])
+def test_validate_web_matches_the_dense_version(scheme, d, rounds):
+    diag = make_diagram(d, scheme, rounds)[1]
+    rng = np.random.default_rng(100 * d + rounds)
+    valid, mutants = basis_combos_and_mutants(diag, rng, 20)
+    assert all(validate_web(diag, w) == dense_validate_web(diag, w) == [] for w in valid)
+    caught = 0
+    for w in mutants:
+        got = validate_web(diag, w)
+        assert got == dense_validate_web(diag, w)
+        caught += bool(got)
+    assert caught > len(mutants) // 2
+    assert len(diag.spider_masks) > 1  # the webs span several runs of spiders
+
+
+def test_validate_web_matches_the_dense_version_on_random_graphs():
+    rng = np.random.default_rng(20240601)  # the generator and seed of the residual test
+    violated = 0
+    for _ in range(150):
+        d = random_zx_graph(rng)
+        valid, mutants = basis_combos_and_mutants(d, rng, 3)
+        n_vars = 2 * len(d.edges)
+        noise = [dense_web(d, rng.random(n_vars) < p) for p in (0.1, 0.3, 0.5)]
+        assert all(validate_web(d, w) == dense_validate_web(d, w) == [] for w in valid)
+        for w in mutants + noise:
+            got = validate_web(d, w)
+            assert got == dense_validate_web(d, w)
+            violated += bool(got)
+    assert violated > 150
 
 
 def loop_check_web_space(diag, space):
@@ -680,7 +755,7 @@ def test_validate_web_agrees_with_matrix_residual_on_random_graphs():
             candidates.append(flipped)
         for bits in candidates:
             w = dense_web(d, bits)
-            residual = np.count_nonzero(matrix & w.bits, axis=1) % 2
+            residual = np.count_nonzero(matrix & web_bits(w), axis=1) % 2
             expected = {system.row_spiders[r] for r in np.flatnonzero(residual)}
             got = validate_web(d, w)
             assert set(got) == expected
