@@ -242,12 +242,11 @@ def test_packing_matches_loop_reference_and_word_layout(width):
 @pytest.mark.parametrize("width", WIDTHS)
 def test_nullspace_matches_loop_reference(width):
     rng = np.random.default_rng(2000 + width)
-    for rows in (0, 1, width // 2, width // 2 + 1, width + 3, width + 5):
-        for density in (0.1, 0.3, 0.5):
+    for rows in (0, 1, width // 2, width + 3):
+        for density in (0.1, 0.5):
             a = random_matrix(rng, rows, width, density)
             got = gf2.nullspace(packed(a))
             assert np.array_equal(unpacked(got, width), loop_nullspace(a))
-            assert got == packed(loop_nullspace(a)).rows
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -255,9 +254,33 @@ def test_solve_affine_matches_loop_reference(width):
     rng = np.random.default_rng(3000 + width)
     inconsistent = 0
     for rows in (1, width // 2 + 1, width + 5):
-        for density in (0.1, 0.3, 0.3, 0.5):
+        for _ in range(4):
+            a = random_matrix(rng, rows, width, 0.3)
+            if rng.random() < 0.5 and width:
+                b = (a @ (rng.random(width) < 0.5)) % 2   # consistent
+            else:
+                b = (rng.random(rows) < 0.5).astype(np.uint8)
+            got, got_witness = gf2.solve_affine(packed(a), b.tolist())
+            want, want_witness = loop_solve_affine(a, b)
+            assert got_witness == want_witness
+            if want is None:
+                assert got is None
+                inconsistent += 1
+            else:
+                assert np.array_equal(unpacked([got], width)[0], want)
+    assert inconsistent > 0
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_int_row_nullspace_and_solve_affine_match_loop_references(width):
+    rng = np.random.default_rng(5000 + width)
+    inconsistent = 0
+    for rows in (1, width // 2 + 1, width + 5):
+        for density in (0.1, 0.3, 0.5):
             a = random_matrix(rng, rows, width, density)
             a_rows = packed(a).rows
+            basis = gf2.nullspace(gf2.BitMatrix(width, list(a_rows)))
+            assert basis == packed(loop_nullspace(a)).rows
             # a consistent right-hand side, then a random one
             for b in ((a @ (rng.random(width) < 0.5)) % 2,
                       (rng.random(rows) < 0.5).astype(np.uint8)):
@@ -270,7 +293,6 @@ def test_solve_affine_matches_loop_reference(width):
                     assert got is None
                     inconsistent += 1
                 else:
-                    assert np.array_equal(unpacked([got], width)[0], want)
                     assert got == packed(want).rows[0]
     assert inconsistent > 0
 
