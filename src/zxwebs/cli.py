@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import oracle, sampler, verify, webs
 from .diagram import export
@@ -35,20 +34,19 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-@dataclass
 class RunConfig:
-    distance: int = 5
-    rounds: int = 1
-    scheme: str = "inject-y"
-    seed: int = 0
-    shots: int = 1000
-    error_rate: float = 0.0
-    z_error_rate: float = 0.0
-    errors: tuple[str, ...] = field(default_factory=tuple)  # e.g. ("X:14", "Z:3")
-    postselect: str = "none"  # none | figure-set | all-deterministic
-    correlator: str = "auto"
-    fmt: str = "json"
-    out: str | None = None
+    """The parsed options of one command."""
+
+    def __init__(self, distance: int = 5, rounds: int = 1, scheme: str = "inject-y",
+                 seed: int = 0, shots: int = 1000, error_rate: float = 0.0,
+                 z_error_rate: float = 0.0, errors: tuple[str, ...] = (),
+                 postselect: str = "none", correlator: str = "auto", fmt: str = "json",
+                 out: str | None = None):
+        self.distance, self.rounds, self.scheme, self.seed = distance, rounds, scheme, seed
+        self.shots, self.error_rate, self.z_error_rate = shots, error_rate, z_error_rate
+        self.errors = errors  # e.g. ("X:14", "Z:3")
+        self.postselect = postselect  # none | figure-set | all-deterministic
+        self.correlator, self.fmt, self.out = correlator, fmt, out
 
     def validate(self) -> None:
         if self.shots < 1:

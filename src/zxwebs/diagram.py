@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
 
 DOCUMENT_VERSION = 1
 
@@ -60,14 +60,13 @@ _DEGREE_ONE_KINDS = (*BOUNDARY_KINDS, Kind.MEASURE_OUT)
 _PHASE_NAMES = {0: "0", 1: "π/2", 2: "π", 3: "3π/2"}
 
 
-@dataclass(frozen=True, order=True)
-class Phase:
+class Phase(namedtuple("Phase", "value")):
     """A Clifford spider phase, stored as an integer multiple of pi/2 mod 4."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % 4)
+    def __new__(cls, value: int):
+        return super().__new__(cls, value % 4)
 
     @property
     def is_half(self) -> bool:
@@ -82,14 +81,12 @@ class Phase:
         return _PHASE_NAMES[self.value]
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: Kind
-    pos: tuple[int, int, int]  # (col, row, layer)
-    color: Color | None = None
-    phase: Phase | None = None
-    check_id: str | None = None
+class Node(namedtuple("Node", "id kind pos color phase check_id",
+                      defaults=(None, None, None))):
+    """One node: its str id, Kind, pos (col, row, layer), and the Color and
+    Phase of a spider or the str check_id of a measurement stub."""
+
+    __slots__ = ()
 
     @classmethod
     def spider(cls, id: str, color: Color, phase: int | Phase,
@@ -116,16 +113,13 @@ class Node:
         return (layer, row, col, self.kind.value, self.id)
 
 
-class Leg(NamedTuple):
+class Leg(namedtuple("Leg", "edge index outer inner")):
     """An edge touching a stub or boundary node (``outer``), with its index."""
 
-    edge: tuple[str, str]
-    index: int
-    outer: Node
-    inner: Node
+    __slots__ = ()
 
 
-class SpiderLegs(NamedTuple):
+class SpiderLegs(namedtuple("SpiderLegs", "spiders legs starts own half")):
     """Every spider's legs as tuples of edge indices, spiders in canonical order.
 
     Spider k owns ``legs[starts[k]:starts[k + 1]]``, in canonical edge
@@ -133,14 +127,10 @@ class SpiderLegs(NamedTuple):
     edge pair (1 for Z, 0 for X); ``half[k]`` flags a ±pi/2 phase.
     """
 
-    spiders: tuple[Node, ...]
-    legs: tuple[int, ...]
-    starts: tuple[int, ...]
-    own: tuple[int, ...]
-    half: tuple[bool, ...]
+    __slots__ = ()
 
 
-class SpiderMasks(NamedTuple):
+class SpiderMasks(namedtuple("SpiderMasks", "lo lit spiders")):
     """A run of spiders' legs as bit masks over a web's 2|E| variables.
 
     Bit 2e + c of a web is color c (0 for X, 1 for Z) of edge e. ``spiders``
@@ -152,9 +142,7 @@ class SpiderMasks(NamedTuple):
     is every bit of the run. All masks are shifted down by ``lo``.
     """
 
-    lo: int
-    lit: int
-    spiders: tuple[tuple[str, int, int], ...]
+    __slots__ = ()
 
 
 SPIDERS_PER_RUN = 16  # one window shift per run; 8, 16 and 32 timed alike at d=5 and d=9
@@ -168,13 +156,10 @@ class DiagramParseError(ValueError):
     """Raised by deserialize() on malformed documents."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "code subject message")):
     """One invariant violation; `subject` names the offending node or edge."""
 
-    code: str
-    subject: str
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.subject}: {self.message}"

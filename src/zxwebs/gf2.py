@@ -9,7 +9,7 @@ order alone, and sparse pivots make less fill.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 class BitMatrix:

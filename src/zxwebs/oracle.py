@@ -25,9 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from itertools import combinations
-from typing import Iterable, Mapping
 
 from .diagram import Color, Diagram, Kind, Node
 from .pauli import PauliOperator, phase_exponent
@@ -55,11 +55,11 @@ def counter_unit(seed: int, shot: int, token: str) -> float:
 # -- tableau ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    outcome: int
-    deterministic: bool
-    aux: int  # bitmask of random events the outcome depends on (0 = none)
+class MeasureResult(namedtuple("MeasureResult", "outcome deterministic aux")):
+    """An outcome bit, whether it was forced, and ``aux``: the bitmask of
+    random events the outcome depends on (0 = none)."""
+
+    __slots__ = ()
 
 
 class Tableau:
@@ -235,26 +235,20 @@ class LoweringError(ValueError):
     """The diagram does not have the recognizable builder layer structure."""
 
 
-@dataclass(frozen=True)
-class CheckInfo:
-    check_id: str
-    layer: int
-    round: int
-    ptype: str
-    support: tuple[int, ...]
-    pos: tuple[int, int]
+class CheckInfo(namedtuple("CheckInfo", "check_id layer round ptype support pos")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiagramStructure:
-    """Structural reading of a builder diagram (qubits, layers, checks)."""
+class DiagramStructure(namedtuple("DiagramStructure", "distance rounds init checks "
+                                  "world_nodes edge_slots")):
+    """Structural reading of a builder diagram (qubits, layers, checks).
 
-    distance: int
-    rounds: int
-    init: "dict[int, InitState]"
-    checks: tuple[CheckInfo, ...]          # in measurement order
-    world_nodes: "dict[int, tuple[str, ...]]"
-    edge_slots: "dict[tuple[str, str], tuple[int, int]]"  # edge -> (qubit, after_layer)
+    ``init`` maps qubit -> InitState, ``checks`` are CheckInfos in
+    measurement order, ``world_nodes`` maps qubit -> its world line's node
+    ids, and ``edge_slots`` maps edge -> (qubit, after_layer).
+    """
+
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -371,33 +365,28 @@ def diagram_structure(d: Diagram) -> DiagramStructure:
 # -- instruction stream -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Prepare:
-    pattern: tuple[tuple[int, InitState], ...]
+class Prepare(namedtuple("Prepare", "pattern")):  # ((qubit, InitState), ...)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ApplyPauli:
-    qubit: int
-    letter: str
+class ApplyPauli(namedtuple("ApplyPauli", "qubit letter")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MeasureCheck:
-    check_id: str
-    op: PauliOperator
+class MeasureCheck(namedtuple("MeasureCheck", "check_id op")):  # op: PauliOperator
+    __slots__ = ()
 
 
 Instruction = Prepare | ApplyPauli | MeasureCheck
 
 
-@dataclass(frozen=True)
-class Program:
-    """A diagram lowered once: its structure and the error-free measurements."""
+class Program(namedtuple("Program", "diagram structure layers")):
+    """A diagram lowered once: its structure and the error-free measurements.
 
-    diagram: Diagram
-    structure: DiagramStructure
-    layers: tuple[tuple[MeasureCheck, ...], ...]  # layers[k - 1]: layer k, in order
+    ``layers[k - 1]`` holds layer k's MeasureChecks, in order.
+    """
+
+    __slots__ = ()
 
     def instructions(self, errors: Iterable[Insertion] = ()) -> list[Instruction]:
         """Instruction stream: prepare, then whole-plaquette measurements in order.
@@ -443,14 +432,15 @@ def lower(d: Diagram) -> Program:
 # -- shots --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Outcome record of one oracle execution."""
+class ShotRecord(namedtuple("ShotRecord", "outcomes forced accepted logical_y",
+                            defaults=(None, None))):
+    """Outcome record of one oracle execution.
 
-    outcomes: dict[str, int]
-    forced: dict[str, bool]
-    accepted: bool | None = None
-    logical_y: int | None = None
+    ``outcomes`` and ``forced`` map check_id to its bit and to whether it
+    was forced; ``accepted`` and ``logical_y`` stay None unless asked for.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         doc = {
@@ -505,28 +495,30 @@ def run(program: Program, errors: Iterable[Insertion] = (), *, seed: int = 0,
                       accepted=accepted, logical_y=logical_y)
 
 
-@dataclass(frozen=True)
-class CheckStep:
-    """One check of the error-free circuit as a walk with every coin 0 saw it."""
+class CheckStep(namedtuple("CheckStep", "check_id position result")):
+    """One check of the error-free circuit as a walk with every coin 0 saw it.
 
-    check_id: str
-    position: int           # index in the error-free instruction stream
-    result: MeasureResult   # outcome with every coin 0, forced or random, aux
+    ``position`` is its index in the error-free instruction stream;
+    ``result`` its MeasureResult with every coin 0: outcome, forced or
+    random, aux.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(namedtuple("Walk", "checks logical", defaults=(None,))):
     """The error-free circuit executed once, every random outcome set to 0.
 
     Which measurements are random, and which random events a forced outcome
     depends on, follow from the X/Z parts of the tableau alone. Pauli errors
     and coins only change signs, so they are the same in every shot; a
     forced outcome is ``result.outcome`` XOR the coins of the events in its
-    ``aux`` mask, XOR whatever the errors flip.
+    ``aux`` mask, XOR whatever the errors flip. ``checks`` holds the
+    CheckSteps in measurement order; ``logical``, if not None, is the
+    MeasureResult of the logical, measured after the last check.
     """
 
-    checks: tuple[CheckStep, ...]          # in measurement order
-    logical: MeasureResult | None = None   # measured after the last check
+    __slots__ = ()
 
     @property
     def events(self) -> tuple[str, ...]:

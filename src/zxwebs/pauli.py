@@ -6,7 +6,7 @@ qubit q), the row format of the stabilizer tableau in :mod:`zxwebs.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 _LETTERS = ("X", "Y", "Z")
@@ -27,31 +27,28 @@ def phase_exponent(xa: int, za: int, xb: int, zb: int) -> int:
             - ((xa ^ xb) & (za ^ zb)).bit_count()) % 4
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class PauliOperator(namedtuple("PauliOperator", "n paulis sign")):
     """A signed Pauli word, stored sparsely as qubit -> letter.
 
-    The identity has empty support and sign +1. Only Hermitian operators
-    (sign strictly in {+1, -1}) are representable.
+    ``paulis`` holds (qubit, letter) pairs, sorted by qubit. The identity
+    has empty support and sign +1. Only Hermitian operators (sign strictly
+    in {+1, -1}) are representable. No ``__slots__``: the cached
+    :attr:`masks` lives in the instance ``__dict__``.
     """
 
-    n: int
-    paulis: tuple[tuple[int, str], ...] = field(default=())
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    def __new__(cls, n: int, paulis: tuple[tuple[int, str], ...] = (), sign: int = 1):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
         seen = set()
-        for q, letter in self.paulis:
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} outside [0, {self.n})")
+        for q, letter in paulis:
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} outside [0, {n})")
             if letter not in _LETTERS:
                 raise ValueError(f"invalid Pauli letter {letter!r}")
             if q in seen:
                 raise ValueError(f"qubit {q} repeated")
             seen.add(q)
-        object.__setattr__(self, "paulis", tuple(sorted(self.paulis)))
+        return super().__new__(cls, n, tuple(sorted(paulis)), sign)
 
     @classmethod
     def from_dict(cls, n: int, mapping: dict[int, str], sign: int = 1) -> "PauliOperator":

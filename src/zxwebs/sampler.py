@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from functools import reduce
-from typing import Iterable, Iterator
 
 from . import oracle, webs
 from .pauli import PauliOperator

@@ -20,10 +20,9 @@ measurement ancillas, "m.r{k}.{pid}" for outcome stubs (check id
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple
 
 from .diagram import Color, Diagram, DiagramError, Node, validate
 from .pauli import PauliOperator
@@ -39,24 +38,22 @@ class InitState(Enum):
 InitPattern = dict[int, InitState]
 
 
-@dataclass(frozen=True)
-class Plaquette:
-    id: str
-    ptype: str  # "X" or "Z"
-    support: tuple[int, ...]
-    pos: tuple[int, int]  # doubled-grid center, (2i+1, 2j+1)
+class Plaquette(namedtuple("Plaquette", "id ptype support pos")):
+    """A parity check: ``ptype`` "X" or "Z", its sorted qubit ``support``, and
+    ``pos``, its doubled-grid center (2i+1, 2j+1)."""
+
+    __slots__ = ()
 
     @property
     def weight(self) -> int:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class Layout:
-    d: int
-    data_qubits: tuple[tuple[int, int], ...]  # index -> (col, row)
-    x_plaquettes: tuple[Plaquette, ...]
-    z_plaquettes: tuple[Plaquette, ...]
+class Layout(namedtuple("Layout", "d data_qubits x_plaquettes z_plaquettes")):
+    """Distance ``d``, ``data_qubits`` (index -> (col, row)) and the tuples of
+    X and Z plaquettes."""
+
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -149,17 +146,15 @@ def memory_pattern(layout: Layout, basis: str) -> InitPattern:
     return {q: state for q in range(layout.n)}
 
 
-@dataclass(frozen=True)
-class CircuitSpec:
-    layout: Layout
-    init: InitPattern
-    rounds: int = 1
+class CircuitSpec(namedtuple("CircuitSpec", "layout init rounds")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if set(self.init) != set(range(self.layout.n)):
+    def __new__(cls, layout: Layout, init: InitPattern, rounds: int = 1):
+        if rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {rounds}")
+        if set(init) != set(range(layout.n)):
             raise ValueError("init pattern must cover every data qubit exactly once")
+        return super().__new__(cls, layout, init, rounds)
 
 
 def scheme_name(init: InitPattern) -> str:
@@ -266,9 +261,11 @@ def logical_operator(layout: Layout, letter: str) -> PauliOperator:
     return dict(zip("ZXY", logical_operators(layout)))[letter]
 
 
-class Scheme(NamedTuple):
-    pattern: Callable[[Layout], InitPattern]
-    logical: str  # letter of the logical operator the scheme prepares
+class Scheme(namedtuple("Scheme", "pattern logical")):
+    """``pattern`` maps a Layout to its InitPattern; ``logical`` is the letter
+    of the logical operator the scheme prepares."""
+
+    __slots__ = ()
 
 
 SCHEMES = {

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import oracle, webs
+from . import gf2, oracle, webs
 from .diagram import Diagram, validate
 from .pauli import PauliOperator
 from .surface import (
@@ -25,11 +25,8 @@ from .surface import (
 from .webs import Highlight, PauliErrorSet, Web, WebSpace
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name ok detail")):
+    __slots__ = ()
 
 
 def stub_product(record: oracle.ShotRecord, stub_set) -> int:
@@ -44,7 +41,9 @@ def check_builder_valid(diag: Diagram) -> CheckResult:
 
 def check_web_space(diag: Diagram, space: WebSpace) -> CheckResult:
     n_vars = 2 * len(diag.edges)
-    ok = space.rank + space.dim == n_vars
+    # its own elimination: web_space() derives space.rank from the basis size
+    rank = gf2.rank(gf2.BitMatrix(n_vars, list(webs.spider_constraints(diag).rows)))
+    ok = rank + space.dim == n_vars
     bad = sum(1 for w in space.basis if webs.validate_web(diag, w))
     ok = ok and bad == 0
     # degree-1 termination rules, asserted literally on every basis web: a
@@ -58,7 +57,7 @@ def check_web_space(diag: Diagram, space: WebSpace) -> CheckResult:
     ok = ok and terminations_ok
     return CheckResult(
         "web-space", ok,
-        f"rank {space.rank} + dim {space.dim} vs {n_vars} vars; "
+        f"rank {rank} + dim {space.dim} vs {n_vars} vars; "
         f"{bad} invalid basis webs; terminations {'ok' if terminations_ok else 'BROKEN'}")
 
 

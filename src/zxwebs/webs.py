@@ -26,9 +26,9 @@ statements are delegated to the stabilizer oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gf2
 from .diagram import Color, Diagram, DiagramError, Kind, validate
@@ -149,13 +149,13 @@ class Web:
         return f"Web({marks})"
 
 
-@dataclass(frozen=True)
-class SpiderConstraints:
-    """The per-spider highlighting rules as a homogeneous GF(2) system."""
+class SpiderConstraints(namedtuple("SpiderConstraints", "diagram rows row_spiders")):
+    """The per-spider highlighting rules as a homogeneous GF(2) system.
 
-    diagram: Diagram
-    rows: tuple[int, ...]            # one int row per rule
-    row_spiders: tuple[str, ...]     # spider id per row
+    ``rows`` holds one int row per rule, ``row_spiders`` the spider id of each.
+    """
+
+    __slots__ = ()
 
 
 def spider_constraints(d: Diagram) -> SpiderConstraints:
@@ -206,13 +206,11 @@ def validate_web(d: Diagram, w: Web) -> list[str]:
     return bad
 
 
-@dataclass(frozen=True)
-class WebSpace:
-    """A GF(2) basis of all webs over one diagram."""
+class WebSpace(namedtuple("WebSpace", "diagram basis rank")):
+    """A GF(2) basis of all webs over one diagram; ``rank`` is the rank of
+    the spider-rule system."""
 
-    diagram: Diagram
-    basis: tuple[Web, ...]
-    rank: int  # rank of the spider-rule system
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -227,8 +225,7 @@ def web_space(d: Diagram) -> WebSpace:
                     rank=n_vars - len(basis))
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(namedtuple("Infeasible", "spiders legs")):
     """Witness for an unsolvable boundary condition.
 
     ``spiders`` lists the spiders whose rules participate in an
@@ -236,8 +233,7 @@ class Infeasible:
     involved.
     """
 
-    spiders: tuple[str, ...]
-    legs: tuple[str, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (f"infeasible: spiders {list(self.spiders)} with pinned legs "
@@ -332,8 +328,7 @@ def detectors(d: Diagram) -> list[Web]:
     return [web for web in candidates if web.stub_set()]
 
 
-@dataclass(frozen=True)
-class PauliErrorSet:
+class PauliErrorSet(namedtuple("PauliErrorSet", "insertions")):
     """Pauli insertions: phase-pi spiders spliced into existing edges.
 
     Each entry is (edge, letter) with letter in {"X", "Z", "Y"}; a Y entry
@@ -341,7 +336,7 @@ class PauliErrorSet:
     not error locations.
     """
 
-    insertions: tuple[tuple[tuple[str, str], str], ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, d: Diagram, items: Iterable[tuple[tuple[str, str], str]]) -> "PauliErrorSet":
@@ -367,6 +362,9 @@ class PauliErrorSet:
 
     def __iter__(self) -> Iterator[tuple[tuple[str, str], str]]:
         return iter(self.insertions)
+
+    def __getnewargs__(self):  # for pickle and copy: tuple(self) is the insertions
+        return (self.insertions,)
 
 
 def flip_parities(ws: Sequence[Web], err: PauliErrorSet) -> list[int]:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from zxwebs.surface import scheme_circuit
@@ -21,3 +23,16 @@ def inj5():
 @pytest.fixture(scope="session")
 def memz5():
     return make_diagram(5, "memory-z")
+
+
+def assert_frozen_record(record, fields: str) -> None:
+    """``record`` rebuilds from ``fields`` (space-separated, in order), by
+    position, by keyword and through pickle, and none of them can be assigned."""
+    names = fields.split()
+    values = [getattr(record, name) for name in names]
+    assert type(record)(*values) == record
+    assert type(record)(**dict(zip(names, values))) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    for name, value in zip(names, values):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)

@@ -10,6 +10,7 @@ from zxwebs.diagram import (
     Kind,
     Node,
     Phase,
+    Violation,
     deserialize,
     export,
     read_webs,
@@ -17,7 +18,7 @@ from zxwebs.diagram import (
     validate,
 )
 
-from conftest import make_diagram
+from conftest import assert_frozen_record, make_diagram
 
 
 def minimal_y_diagram():
@@ -292,3 +293,32 @@ def test_webs_embedding_round_trip():
     assert deserialize(text) == d
     assert read_webs(text, d) == {"y": {name: "Y"}}
     assert serialize(deserialize(text), read_webs(text, d)) == text
+
+
+def test_phase_reduces_mod_4_and_sorts():
+    assert Phase(5) == Phase(1) and Phase(-1) == Phase(3)
+    assert hash(Phase(6)) == hash(Phase(2))
+    assert sorted([Phase(3), Phase(4), Phase(6)]) == [Phase(0), Phase(2), Phase(3)]
+    assert Phase(1) < Phase(2) and str(Phase(7)) == "3π/2"
+
+
+def test_node_takes_its_defaults_by_keyword_and_keeps_its_repr():
+    node = Node(id="o", kind=Kind.BOUNDARY_OUT, pos=(0, 0, 1))
+    assert (node.color, node.phase, node.check_id) == (None, None, None)
+    assert node == Node.boundary_out("o", (0, 0, 1))
+    assert hash(node) == hash(Node.boundary_out("o", (0, 0, 1)))
+    assert repr(Node.spider("s", Color.Z, 5, (1, 2, 3))) == (
+        "Node(id='s', kind=<Kind.SPIDER: 'spider'>, pos=(1, 2, 3), "
+        "color=<Color.Z: 'Z'>, phase=Phase(value=1), check_id=None)")
+
+
+def test_diagram_records_are_frozen(inj3):
+    _, d = inj3
+    assert_frozen_record(Phase(3), "value")
+    assert_frozen_record(d.nodes[0], "id kind pos color phase check_id")
+    assert_frozen_record(d.stub_legs[0], "edge index outer inner")
+    assert_frozen_record(d.spider_legs, "spiders legs starts own half")
+    assert_frozen_record(d.spider_masks[0], "lo lit spiders")
+    violation = Violation("degree", "s", "spider must have degree >= 1")
+    assert_frozen_record(violation, "code subject message")
+    assert str(violation) == "[degree] s: spider must have degree >= 1"

@@ -5,7 +5,10 @@ GF(2) code; the webs do not lean on the tableau's Pauli algebra; the
 sampler reads its combinations off the reduced detector basis instead of
 solving for them; and the int-row code needs no numpy: ``layout``, ``webs``,
 ``sample`` and ``verify`` run without it, checked in subprocesses that
-cannot load it.
+cannot load it. Each command is a fresh process that pays for its imports,
+so no module imports ``dataclasses`` or ``typing`` (records are
+``collections.namedtuple`` subclasses); a ``python -S`` run of the CLI
+checks that neither they nor ``inspect`` or ``ast`` get loaded.
 """
 
 import ast
@@ -18,7 +21,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zxwebs"
 
-# module -> modules it must not import (zxwebs modules by their short name)
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+# heavy standard-library modules, of which the CLI needs none
+SLOW_STDLIB = {"dataclasses", "typing"}
+# module -> modules it must not import besides SLOW_STDLIB (zxwebs modules by
+# their short name)
 FORBIDDEN = {
     "oracle": {"webs", "gf2", "numpy"},
     "webs": {"pauli", "oracle"},
@@ -54,9 +61,30 @@ def test_imported_modules_reads_every_import_form():
     assert "numpy" in imported_modules("gf2")       # import x as y, inside a method
 
 
-@pytest.mark.parametrize("module", sorted(FORBIDDEN))
+@pytest.mark.parametrize("module", MODULES)
 def test_module_imports_keep_the_layers_apart(module):
-    assert not imported_modules(module) & FORBIDDEN[module]
+    assert not imported_modules(module) & (FORBIDDEN.get(module, set()) | SLOW_STDLIB)
+
+
+# -S: a site .pth file may load typing before any zxwebs code runs. Exits
+# with the names of any slow module loaded, else with the CLI's exit codes.
+STARTUP_RUNNER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from zxwebs import cli
+codes = [cli.main(["webs", "-d", "3"]),
+         cli.main(["sample", "-d", "3", "--shots", "20", "-p", "0.05", "--format", "json"]),
+         cli.main(["verify", "-d", "3", "--samples", "5", "--footnote5"])]
+loaded = sorted(m for m in ("dataclasses", "typing", "inspect", "ast") if m in sys.modules)
+sys.exit(f"loaded {loaded}" if loaded else max(codes))
+"""
+
+
+def test_cli_start_up_loads_no_slow_stdlib_module():
+    run = subprocess.run([sys.executable, "-S", "-c", STARTUP_RUNNER, str(SRC.parent)],
+                         capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout.count(b"checks passed") == 1
 
 
 # Runs the CLI; with "block", numpy cannot be imported at all. Exits 97 if any

@@ -11,6 +11,8 @@ from zxwebs.oracle import (
     MeasureCheck,
     MeasureResult,
     Prepare,
+    ShotRecord,
+    Walk,
     canonical_group,
     canonical_stabilizer_group,
     counter_bit,
@@ -25,7 +27,7 @@ from zxwebs.pauli import PauliOperator
 from zxwebs.surface import SCHEMES, InitState, build_layout, injection_pattern, scheme_circuit
 from zxwebs.webs import PauliErrorSet
 
-from conftest import make_diagram
+from conftest import assert_frozen_record, make_diagram
 from test_pauli import from_vectors, int16_word_product, vectors
 
 
@@ -498,3 +500,31 @@ def test_walk_and_run_match_uint8_reference(scheme, d, rounds, monkeypatch):
     monkeypatch.setattr(oracle, "prepare", reference_prepare)
     assert walk(program, logical) == expected_walk
     assert [run(program, **kwargs) for kwargs in shots] == expected_runs
+
+
+def test_shot_record_and_walk_take_their_defaults_by_keyword():
+    rec = ShotRecord(outcomes={"r1.X0": 1}, forced={"r1.X0": False})
+    assert (rec.accepted, rec.logical_y) == (None, None)
+    assert rec.to_json() == ('{"outcomes":{"r1.X0":1},"forced":{"r1.X0":false},'
+                             '"accepted":null,"logical_y":null}')
+    empty = Walk(checks=())
+    assert empty.logical is None and empty.events == ()
+
+
+def test_oracle_records_are_frozen():
+    _, diag, logical = scheme_circuit(3, "inject-y")
+    program = lower(diag)
+    walked = walk(program, logical)
+    assert_frozen_record(program, "diagram structure layers")
+    assert_frozen_record(program.structure,
+                         "distance rounds init checks world_nodes edge_slots")
+    assert_frozen_record(program.structure.checks[0], "check_id layer round ptype support pos")
+    assert_frozen_record(program.layers[0][0], "check_id op")
+    prepare_step, *_ = program.instructions([(("q0.l0", "q0.l1"), "X")])
+    assert_frozen_record(prepare_step, "pattern")
+    assert_frozen_record(ApplyPauli(0, "X"), "qubit letter")
+    assert_frozen_record(walked, "checks logical")
+    assert_frozen_record(walked.checks[0], "check_id position result")
+    assert_frozen_record(walked.logical, "outcome deterministic aux")
+    assert_frozen_record(run(program, seed=1, measure_logical=logical),
+                         "outcomes forced accepted logical_y")

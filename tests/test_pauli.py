@@ -3,6 +3,8 @@ import pytest
 
 from zxwebs.pauli import PauliOperator, phase_exponent
 
+from conftest import assert_frozen_record
+
 X = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1), "I": (0, 0)}
 
 
@@ -127,3 +129,32 @@ def test_masks_agree_with_vectors_and_round_trip():
             assert from_vectors(*vectors(a)) == a
             assert phase_exponent(*a.masks[:2], *b.masks[:2]) == \
                 int16_word_product(*vectors(a)[:2], *vectors(b)[:2])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, ((0, "X"),), 2), "sign must be"),
+    ((3, ((0, "W"),)), "invalid Pauli letter"),
+    ((3, ((3, "X"),)), "outside"),
+    ((3, ((-1, "X"),)), "outside"),
+    ((3, ((1, "X"), (1, "Z"))), "repeated"),
+])
+def test_pauli_operator_rejects_bad_fields(args, message):
+    with pytest.raises(ValueError, match=message):
+        PauliOperator(*args)
+
+
+def test_pauli_operator_sorts_paulis_and_compares_by_value():
+    op = PauliOperator(4, ((3, "Z"), (0, "X")), sign=-1)
+    assert op.paulis == ((0, "X"), (3, "Z"))
+    assert op == PauliOperator(n=4, paulis=((0, "X"), (3, "Z")), sign=-1)
+    assert PauliOperator(2) == PauliOperator(2, (), 1)
+    assert repr(op) == "PauliOperator(n=4, paulis=((0, 'X'), (3, 'Z')), sign=-1)"
+    assert_frozen_record(op, "n paulis sign")
+
+
+def test_from_masks_fills_the_cached_masks():
+    op = PauliOperator(4, ((3, "Z"), (0, "X")), sign=-1)
+    built = PauliOperator.from_masks(4, 0b0001, 0b1000, 1)
+    assert vars(built) == {"masks": (1, 8, 1)}
+    assert "masks" not in vars(op)
+    assert built == op and hash(built) == hash(op) and op.masks == built.masks

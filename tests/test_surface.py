@@ -3,6 +3,7 @@ import pytest
 from zxwebs.diagram import Kind, validate
 from zxwebs.pauli import PauliOperator
 from zxwebs.surface import (
+    SCHEMES,
     CircuitSpec,
     InitState,
     build_layout,
@@ -12,7 +13,7 @@ from zxwebs.surface import (
     scheme_name,
 )
 
-from conftest import make_diagram
+from conftest import assert_frozen_record, make_diagram
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -193,3 +194,23 @@ def test_y_l_is_the_signed_product_of_its_factors():
     for f in factors[1:]:
         prod = prod * f
     assert prod == y_l
+
+
+def test_circuit_spec_checks_rounds_and_init():
+    layout = build_layout(3)
+    pattern = injection_pattern(layout)
+    assert CircuitSpec(layout, pattern).rounds == 1
+    assert CircuitSpec(layout=layout, init=pattern, rounds=2).rounds == 2
+    with pytest.raises(ValueError, match="rounds must be >= 1"):
+        CircuitSpec(layout, pattern, rounds=0)
+    with pytest.raises(ValueError, match="cover every data qubit"):
+        CircuitSpec(layout, {q: state for q, state in pattern.items() if q != 4})
+
+
+def test_surface_records_are_frozen():
+    layout = build_layout(3)
+    assert_frozen_record(layout, "d data_qubits x_plaquettes z_plaquettes")
+    assert_frozen_record(layout.x_plaquettes[0], "id ptype support pos")
+    assert_frozen_record(CircuitSpec(layout, injection_pattern(layout), 2),
+                         "layout init rounds")
+    assert_frozen_record(SCHEMES["inject-y"], "pattern logical")

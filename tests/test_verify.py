@@ -4,10 +4,12 @@ import math
 
 import pytest
 
-from zxwebs import oracle
+from zxwebs import gf2, oracle, webs
 from zxwebs.pauli import PauliOperator
-from zxwebs.surface import InitState
-from zxwebs.verify import CheckResult, check_footnote5
+from zxwebs.surface import InitState, scheme_circuit
+from zxwebs.verify import CheckResult, check_footnote5, check_web_space
+
+from conftest import assert_frozen_record
 
 
 def per_shot_footnote5(seed=0, shots=1000):
@@ -73,3 +75,23 @@ def test_footnote5_reports_a_broken_tableau(monkeypatch, mutation):
     got = check_footnote5(3)
     assert got == per_shot_footnote5(3)
     assert not got.ok and got.detail.endswith(want)
+
+
+def test_check_result_keeps_its_repr():
+    result = CheckResult("footnote5", False, "measurement came out deterministic")
+    assert repr(result) == ("CheckResult(name='footnote5', ok=False, "
+                            "detail='measurement came out deterministic')")
+    assert_frozen_record(result, "name ok detail")
+
+
+def test_web_space_item_fails_when_the_null_space_loses_a_vector(monkeypatch):
+    _, diag, _ = scheme_circuit(3, "inject-y", 2)
+    good = check_web_space(diag, webs.web_space(diag))
+    real = gf2.nullspace
+    monkeypatch.setattr(gf2, "nullspace", lambda matrix: real(matrix)[:-1])
+    space = webs.web_space(diag)
+    short = check_web_space(diag, space)
+    assert good.ok and not short.ok
+    # the rank is the item's own elimination, not what the short basis implies
+    dim = len(space.basis)
+    assert short.detail == good.detail.replace(f"dim {dim + 1} ", f"dim {dim} ")

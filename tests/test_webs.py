@@ -23,7 +23,7 @@ from zxwebs.webs import (
 )
 from zxwebs.webs import _stub_basis_vars, _stub_priority
 
-from conftest import make_diagram
+from conftest import assert_frozen_record, make_diagram
 
 
 def dense_web(d, bits):
@@ -307,6 +307,27 @@ def test_error_set_validation(memz5):
         PauliErrorSet.of(diag, [(("q0.l0", "q99.l9"), "X")])
     with pytest.raises(ValueError, match="letter"):
         PauliErrorSet.of(diag, [(("q9.l0", "q9.l1"), "W")])
+
+
+def test_error_set_len_and_iter_are_its_insertions(memz5):
+    _, diag = memz5
+    err = PauliErrorSet.of(diag, [(("q9.l1", "q9.l0"), "X"), (("q0.l0", "q0.l1"), "Y")])
+    assert len(err) == 2 and err
+    assert list(err) == list(err.insertions) == [
+        (diag.edge_key("q9.l0", "q9.l1"), "X"), (diag.edge_key("q0.l0", "q0.l1"), "Y")]
+    empty = PauliErrorSet.empty()
+    assert len(empty) == 0 and list(empty) == [] and not empty
+    assert_frozen_record(err, "insertions")
+
+
+def test_webs_records_are_frozen(inj3):
+    layout, diag = inj3
+    assert_frozen_record(spider_constraints(diag), "diagram rows row_spiders")
+    assert_frozen_record(web_space(diag), "diagram basis rank")
+    z_l, _, _ = logical_operators(layout)
+    witness = solve(diag, correlator_boundary_condition(diag, z_l))
+    assert isinstance(witness, Infeasible)
+    assert_frozen_record(witness, "spiders legs")
 
 
 def test_xor_linearity_seeded(inj3):
