@@ -1,9 +1,9 @@
 """GF(2) linear algebra on rows held as Python ints: bit c of a row is column c.
 
-Every function takes a :class:`BitMatrix` and int vectors; only its dense
-converters import numpy. Where only the pivot columns and rows of an RREF
-are read, rows go sparsest first: those depend on the row space and column
-order alone, and sparse pivots make less fill.
+Every function takes a :class:`BitMatrix` and int vectors and returns ints;
+the module needs only the standard library. Where only the pivot columns
+and rows of an RREF are read, rows go sparsest first: those depend on the
+row space and column order alone, and sparse pivots make less fill.
 """
 
 from __future__ import annotations
@@ -25,24 +25,6 @@ class BitMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_dense(cls, dense) -> "BitMatrix":
-        """The rows of a 0/1 matrix, taken mod 2."""
-        import numpy as np
-        # row by row, so no masked or packed temporary is full-size
-        dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8))
-        return cls(dense.shape[1], [
-            int.from_bytes(np.packbits(row & 1, bitorder="little").tobytes(), "little")
-            for row in dense])
-
-    def to_dense(self):
-        """The rows as a dense uint8 matrix."""
-        import numpy as np
-        width = (self.n_cols + 7) // 8
-        data = b"".join(row.to_bytes(width, "little") for row in self.rows)
-        packed = np.frombuffer(data, dtype=np.uint8).reshape(len(self.rows), width)
-        return np.unpackbits(packed, axis=1, count=self.n_cols, bitorder="little")
 
 
 def ones(x: int) -> list[int]:

@@ -39,6 +39,7 @@ class PauliOperator(namedtuple("PauliOperator", "n paulis sign")):
     def __new__(cls, n: int, paulis: tuple[tuple[int, str], ...] = (), sign: int = 1):
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
+        paulis = tuple(paulis)  # one pass may use up an iterator
         seen = set()
         for q, letter in paulis:
             if not 0 <= q < n:

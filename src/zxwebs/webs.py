@@ -391,6 +391,6 @@ def flip_parities(ws: Sequence[Web], err: PauliErrorSet) -> list[int]:
 
 
 def syndrome(ws: Sequence[Web], err: PauliErrorSet):
-    """flip_parities() as a uint8 array."""
+    """flip_parities() as a uint8 array; needs numpy, from the ``test`` extra."""
     import numpy as np
     return np.array(flip_parities(ws, err), dtype=np.uint8)

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import pytest
 
@@ -17,6 +19,7 @@ from zxwebs.diagram import (
     serialize,
     validate,
 )
+from zxwebs.webs import detectors
 
 from conftest import assert_frozen_record, make_diagram
 
@@ -293,6 +296,69 @@ def test_webs_embedding_round_trip():
     assert deserialize(text) == d
     assert read_webs(text, d) == {"y": {name: "Y"}}
     assert serialize(deserialize(text), read_webs(text, d)) == text
+
+
+# replacement values for the fuzz below, deep-copied at each use
+_FUZZ_POOL = [
+    None, True, False, 0, 1, -1, 3, 2**70, 1.5, "", "Z", "X", "Y", "hadamard",
+    "spider", "in", "out", "measure", "q0.l0", "q0.l1", "q0.l0--q0.l1",
+    [], [0, 0, 0], ["q0.l0"], ["q0.l0", "q0.l1"], ["q0.l0", "q0.l0"],
+    ["q0.l0", "q1.l0", "plain"], ["q0.l0", "q0.l1", 3], [None, "q0.l1"], [["q0.l0"], "q0.l1"],
+    ["q0.l0", "q0.l1", "plain", "x"], {}, {"id": "n", "kind": "out", "pos": [9, 9, 9]},
+    {"q0.l0--q0.l1": "Y"}, {"distance": 3},
+]
+
+
+def _pick(doc, rng, kind):
+    """A non-empty container of type ``kind``, reached from the root by a random
+    walk that stops at each eligible one with probability 1/2; None if it dead-ends."""
+    node = doc
+    while True:
+        children = [v for v in (node.values() if isinstance(node, dict) else node)
+                    if isinstance(v, (dict, list))]
+        if isinstance(node, kind) and node and (not children or rng.random() < 0.5):
+            return node
+        if not children:
+            return None
+        node = rng.choice(children)
+
+
+def _mutate(doc, rng):
+    """1-3 edits in place: replace a value from the pool, delete a key, append to a list."""
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.choice(("replace", "delete", "append"))
+        container = _pick(doc, rng, list if edit == "append" else (dict, list))
+        value = copy.deepcopy(rng.choice(_FUZZ_POOL))
+        if container is None:
+            continue
+        if edit == "append":
+            container.append(value)
+            continue
+        key = rng.choice(list(container) if isinstance(container, dict) else range(len(container)))
+        if edit == "replace":
+            container[key] = value
+        else:
+            del container[key]
+
+
+def test_mutated_documents_raise_only_parse_errors_and_reserialize_stably(inj3):
+    _, diagram = inj3
+    base = serialize(diagram, {"w": detectors(diagram)[0].to_highlights()})
+    rng = random.Random("deserialize-fuzz")
+    parsed = 0
+    for _ in range(2000):
+        doc = json.loads(base)
+        _mutate(doc, rng)
+        text = json.dumps(doc)
+        try:
+            d = deserialize(text)
+            t1 = serialize(d, read_webs(text, d))
+        except DiagramParseError:
+            continue
+        parsed += 1
+        d1 = deserialize(t1)
+        assert serialize(d1, read_webs(t1, d1)) == t1, text
+    assert 200 < parsed < 1800  # both outcomes are exercised
 
 
 def test_phase_reduces_mod_4_and_sorts():

@@ -1,10 +1,12 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from zxwebs import gf2, oracle, sampler, webs
+from zxwebs.diagram import Kind
 from zxwebs.surface import (
     SCHEMES,
     correlator_boundary_condition,
@@ -12,6 +14,8 @@ from zxwebs.surface import (
     logical_operators,
     scheme_circuit,
 )
+
+from conftest import from_dense, to_dense
 
 # the kernel under test, held before any test monkeypatches gf2.rref
 KERNEL = gf2.rref
@@ -42,20 +46,20 @@ def random_matrix(rng, rows, cols, density=0.4):
 
 def packed(dense):
     """The int rows of a 0/1 matrix or vector."""
-    return gf2.BitMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def unpacked(rows, n_cols):
     """Int rows as a dense uint8 matrix."""
-    return gf2.BitMatrix(n_cols, list(rows)).to_dense()
+    return to_dense(gf2.BitMatrix(n_cols, list(rows)))
 
 
 def test_bitmatrix_round_trip():
     rng = np.random.default_rng(0)
     for rows, cols in [(1, 1), (3, 64), (5, 65), (7, 200)]:
         dense = random_matrix(rng, rows, cols)
-        packed = gf2.BitMatrix.from_dense(dense)
-        assert np.array_equal(packed.to_dense(), dense)
+        packed = from_dense(dense)
+        assert np.array_equal(to_dense(packed), dense)
         assert packed.rows[0] & 1 == dense[0, 0]
         assert (packed.n_rows, packed.n_cols) == (rows, cols)
 
@@ -63,9 +67,9 @@ def test_bitmatrix_round_trip():
 def test_bitmatrix_set_get():
     m = gf2.BitMatrix(130, [0, 0])
     m.rows[1] |= 1 << 129
-    assert m.to_dense()[1, 129] == 1 and m.to_dense().sum() == 1
+    assert to_dense(m)[1, 129] == 1 and to_dense(m).sum() == 1
     m.rows[1] &= ~(1 << 129)
-    assert not m.to_dense().any()
+    assert not to_dense(m).any()
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (10, 10), (20, 13), (13, 20), (40, 70)])
@@ -228,10 +232,10 @@ def test_packing_matches_loop_reference_and_word_layout(width):
     rng = np.random.default_rng(1000 + width)
     for rows in (0, 1, 5, 70):
         dense = random_matrix(rng, rows, width)
-        packed = gf2.BitMatrix.from_dense(dense)
+        packed = from_dense(dense)
         assert packed.rows == from_words(loop_from_dense(dense))
-        assert np.array_equal(packed.to_dense(), loop_to_dense(to_words(packed.rows, width), width))
-        assert np.array_equal(packed.to_dense(), dense)
+        assert np.array_equal(to_dense(packed), loop_to_dense(to_words(packed.rows, width), width))
+        assert np.array_equal(to_dense(packed), dense)
         # column c is bit c of the row
         for r in range(rows):
             assert packed.rows[r] >> width == 0
@@ -356,7 +360,7 @@ def test_rref_matches_loop_on_random_matrices(width):
         for density in (0.01, 0.05, 0.2, 0.5):
             a = random_matrix(rng, rows, width, density)
             for order in col_orders(rng, width):
-                assert_rref_matches_loop(gf2.BitMatrix.from_dense(a), order)
+                assert_rref_matches_loop(from_dense(a), order)
 
 
 def test_rref_matches_loop_on_augmented_blocks():
@@ -365,12 +369,12 @@ def test_rref_matches_loop_on_augmented_blocks():
     for rows, cols in [(5, 3), (40, 30), (70, 129)]:
         a = random_matrix(rng, rows, cols, 0.1)
         aug = np.hstack([a, rng.integers(0, 2, (rows, 1)), np.eye(rows, dtype=np.uint8)])
-        assert_rref_matches_loop(gf2.BitMatrix.from_dense(aug), list(range(cols)))
+        assert_rref_matches_loop(from_dense(aug), list(range(cols)))
 
 
 @pytest.mark.parametrize("order", [[-1], [5], [0, 3]])
 def test_rref_rejects_columns_outside_the_matrix(order):
-    m = gf2.BitMatrix.from_dense(np.ones((2, 3), dtype=np.uint8))
+    m = from_dense(np.ones((2, 3), dtype=np.uint8))
     before = list(m.rows)
     with pytest.raises(ValueError, match="outside"):
         gf2.rref(m, order)
@@ -452,6 +456,29 @@ def test_infeasible_witness_is_an_inconsistent_subsystem(monkeypatch, d, rounds)
     monkeypatch.setattr(gf2, "rref", loop_rref)  # no production kernel in the referee
     x, rows = loop_solve_affine(a, b)
     assert x is None and rows
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_solve_on_random_pins_gives_a_web_or_an_inconsistent_witness(monkeypatch, scheme, rounds):
+    _, diagram, _ = scheme_circuit(3, scheme, rounds)
+    outputs = [leg.outer.id for leg in diagram.boundary_legs if leg.outer.kind is Kind.BOUNDARY_OUT]
+    rng = random.Random(f"{scheme}:{rounds}")
+    results = []
+    for _ in range(30):
+        bc = {leg: rng.choice(list(webs.Highlight))
+              for leg in rng.sample(outputs, rng.randint(1, len(outputs)))}
+        results.append((bc, webs.solve(diagram, bc)))
+    assert {type(result) for _, result in results} == {webs.Web, webs.Infeasible}
+    monkeypatch.setattr(gf2, "rref", loop_rref)  # no production kernel in the referee
+    for bc, result in results:
+        if isinstance(result, webs.Infeasible):
+            x, rows = loop_solve_affine(*witness_subsystem(diagram, bc, result))
+            assert x is None and rows
+        else:
+            assert webs.validate_web(diagram, result) == []
+            restriction = result.boundary_restriction()
+            assert all(restriction.get(leg, webs.Highlight.NONE) is pin for leg, pin in bc.items())
 
 
 @pytest.fixture(scope="module")

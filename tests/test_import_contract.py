@@ -5,10 +5,12 @@ GF(2) code; the webs do not lean on the tableau's Pauli algebra; the
 sampler reads its combinations off the reduced detector basis instead of
 solving for them; and the int-row code needs no numpy: ``layout``, ``webs``,
 ``sample`` and ``verify`` run without it, checked in subprocesses that
-cannot load it. Each command is a fresh process that pays for its imports,
-so no module imports ``dataclasses`` or ``typing`` (records are
-``collections.namedtuple`` subclasses); a ``python -S`` run of the CLI
-checks that neither they nor ``inspect`` or ``ast`` get loaded.
+cannot load it. Only ``webs.syndrome`` imports numpy, and ``pyproject.toml``
+declares no runtime dependency: numpy comes from the ``test`` extra. Each
+command is a fresh process that pays for its imports, so no module imports
+``dataclasses`` or ``typing`` (records are ``collections.namedtuple``
+subclasses); a ``python -S`` run of the CLI checks that neither they nor
+``inspect`` or ``ast`` get loaded.
 """
 
 import ast
@@ -30,6 +32,7 @@ FORBIDDEN = {
     "oracle": {"webs", "gf2", "numpy"},
     "webs": {"pauli", "oracle"},
     "sampler": {"gf2", "numpy"},
+    "gf2": {"numpy"},
     "pauli": {"numpy"},
     "diagram": {"numpy"},
     "surface": {"numpy"},
@@ -58,12 +61,46 @@ def imported_modules(module: str) -> set[str]:
 def test_imported_modules_reads_every_import_form():
     assert {"webs", "oracle", "pauli", "surface"} <= imported_modules("verify")
     assert "hashlib" in imported_modules("oracle")  # import x
-    assert "numpy" in imported_modules("gf2")       # import x as y, inside a method
+    assert "numpy" in imported_modules("webs")      # import x as y, inside a function
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_keep_the_layers_apart(module):
     assert not imported_modules(module) & (FORBIDDEN.get(module, set()) | SLOW_STDLIB)
+
+
+def numpy_import_sites() -> set[str]:
+    """``module.function`` (or ``module`` at top level) of every numpy import."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                if any(alias.name.split(".")[0] == "numpy" for alias in child.names):
+                    sites.add(scope)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                if child.module.split(".")[0] == "numpy":
+                    sites.add(scope)
+            visit(child, scope)
+
+    for module in MODULES:
+        visit(ast.parse((SRC / f"{module}.py").read_text()), module)
+    return sites
+
+
+def test_numpy_is_imported_only_by_syndrome():
+    assert numpy_import_sites() == {"webs.syndrome"}
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
 
 
 # -S: a site .pth file may load typing before any zxwebs code runs. Exits

@@ -152,6 +152,13 @@ def test_pauli_operator_sorts_paulis_and_compares_by_value():
     assert_frozen_record(op, "n paulis sign")
 
 
+def test_pauli_operator_takes_paulis_from_one_pass_of_an_iterator():
+    assert PauliOperator(3, ((q, "X") for q in range(2))) == PauliOperator(3, ((0, "X"), (1, "X")))
+    assert PauliOperator(3, iter([(1, "Z"), (0, "X")]), -1) == PauliOperator(3, ((0, "X"), (1, "Z")), -1)
+    with pytest.raises(ValueError, match="outside"):
+        PauliOperator(3, ((q, "X") for q in range(4)))
+
+
 def test_from_masks_fills_the_cached_masks():
     op = PauliOperator(4, ((3, "Z"), (0, "X")), sign=-1)
     built = PauliOperator.from_masks(4, 0b0001, 0b1000, 1)

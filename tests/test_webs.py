@@ -23,22 +23,22 @@ from zxwebs.webs import (
 )
 from zxwebs.webs import _stub_basis_vars, _stub_priority
 
-from conftest import assert_frozen_record, make_diagram
+from conftest import assert_frozen_record, from_dense, make_diagram, to_dense
 
 
 def dense_web(d, bits):
     """The web of a 0/1 vector over ``d``'s 2|E| variables."""
-    return Web(d, gf2.BitMatrix.from_dense(bits).rows[0])
+    return Web(d, from_dense(bits).rows[0])
 
 
 def web_bits(w):
     """The 0/1 uint8 vector of ``w`` over its diagram's 2|E| variables."""
-    return gf2.BitMatrix(2 * len(w.diagram.edges), [w.mask]).to_dense()[0]
+    return to_dense(gf2.BitMatrix(2 * len(w.diagram.edges), [w.mask]))[0]
 
 
 def dense_constraints(system):
     """The rule rows of ``system`` as a (rows, 2|E|) uint8 matrix."""
-    return gf2.BitMatrix(2 * len(system.diagram.edges), list(system.rows)).to_dense()
+    return to_dense(gf2.BitMatrix(2 * len(system.diagram.edges), list(system.rows)))
 
 
 def single_spider(color, phase):
@@ -260,7 +260,7 @@ def stacked_pin_detectors(d):
     units = np.zeros((len(pinned), matrix.shape[1]), dtype=np.uint8)
     units[np.arange(len(pinned)), pinned] = 1
     basis = gf2.BitMatrix(matrix.shape[1], gf2.nullspace(
-        gf2.BitMatrix.from_dense(np.vstack([matrix, units]))))
+        from_dense(np.vstack([matrix, units]))))
     if not basis.rows:
         return []
     gf2.rref(basis, col_order=_stub_priority(d))
@@ -500,7 +500,7 @@ def dense_spider_constraints(d):
 def assert_rows_match_dense_builder(d):
     system = spider_constraints(d)
     dense = dense_spider_constraints(d)
-    assert list(system.rows) == gf2.BitMatrix.from_dense(dense).rows
+    assert list(system.rows) == from_dense(dense).rows
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3])
@@ -520,7 +520,7 @@ def test_web_holds_one_int_and_no_dense_view(inj3):
     _, diag = inj3
     web = web_space(diag).basis[0]
     assert isinstance(web.mask, int) and dense_web(diag, web_bits(web)) == web
-    assert gf2.BitMatrix.from_dense(web_bits(web)).rows == [web.mask]
+    assert from_dense(web_bits(web)).rows == [web.mask]
     assert not hasattr(web, "bits")
     with pytest.raises(ValueError):
         Web(diag, 1 << 2 * len(diag.edges))
@@ -765,8 +765,8 @@ def test_validate_web_agrees_with_matrix_residual_on_random_graphs():
         system = spider_constraints(d)
         matrix = dense_constraints(system)
         n_vars = matrix.shape[1]
-        kernel = gf2.BitMatrix(n_vars, gf2.nullspace(
-            gf2.BitMatrix(n_vars, list(system.rows)))).to_dense()
+        kernel = to_dense(gf2.BitMatrix(n_vars, gf2.nullspace(
+            gf2.BitMatrix(n_vars, list(system.rows)))))
         candidates = [rng.random(n_vars) < p for p in (0.1, 0.3, 0.5)]
         for _ in range(3):
             valid = (rng.random(len(kernel)) < 0.5).astype(np.uint8) @ kernel % 2
