@@ -343,18 +343,18 @@ def validate(d: Diagram) -> list[Violation]:
     """Every invariant violation, sorted by (subject, code). Empty = valid."""
     found: list[Violation] = []
     seen_pairs: set[tuple[str, str]] = set()
-    for a, b in d.edges:
-        name = d.edge_name((a, b))
+    # d.edges holds canonical pairs, the keys of d._edge_kinds
+    for pair in d.edges:
+        a, b = pair
         if a == b:
-            found.append(Violation("self-loop", name, "edge joins a node to itself"))
+            found.append(Violation("self-loop", f"{a}--{b}", "edge joins a node to itself"))
             continue
-        pair = d.edge_key(a, b)
         if pair in seen_pairs:
-            found.append(Violation("parallel-edge", name, "duplicate edge"))
+            found.append(Violation("parallel-edge", f"{a}--{b}", "duplicate edge"))
         seen_pairs.add(pair)
-        kind = d.edge_kind(a, b)
+        kind = d._edge_kinds.get(pair, "plain")
         if kind != "plain":
-            found.append(Violation("edge-kind", name,
+            found.append(Violation("edge-kind", f"{a}--{b}",
                                    f"unsupported edge kind {kind!r}; only plain edges are valid"))
     for n in d.nodes:
         deg = d.degree(n.id)

@@ -64,11 +64,21 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     k + 1. The kernel runs that loop in two phases on the int rows, because
     the matrices are mostly zeros.
 
-    - Forward: for each searched column, a set of row ids marks the
-      non-pivot rows with a 1 there. The pivot is the marked row with the
-      lowest current position, swapped in by two position lists. It is
-      XORed only into the other marked rows, and the marks change only at
-      the pivot row's own columns not yet visited.
+    - Relabel: the searched columns become 0, 1, ... in ``col_order``, and
+      the others follow in ascending order. Row operations commute with a
+      column permutation, so the loop on the relabelled rows is the loop
+      on the rows, and the rows and pivots are mapped back at the end. A
+      prefix ``range(m)`` of the columns, as ``solve_affine`` searches,
+      needs no relabel.
+    - Forward, columns c = 0, 1, ... of the m searched ones: each non-pivot
+      row is chained in a bucket under its lowest set bit, if that bit is
+      below m. At the visit of c, the non-pivot rows with a 1 at c are
+      exactly bucket c: every earlier column was a pivot column, cleared
+      from all non-pivot rows, or had no 1 in any of them, and later XORs
+      combine only rows that were non-pivot at those visits. The pivot is
+      the bucket's row with the lowest current position, swapped in by two
+      position lists. It is XORed into the bucket's other rows, each of
+      which then moves to the bucket of its new lowest bit.
     - Back-substitution, pivots in reverse: final_k = fwd_k XOR final_t for
       every later pivot column c_t set in fwd_k. The rows are then listed
       in position order.
@@ -82,46 +92,55 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     one such row, and back-substitution builds it.
     """
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
-    if col_order is None:
-        col_order = range(n_cols)
-    else:
+    n_search, old_of = n_cols, None  # old_of[j]: the column relabelled j
+    if col_order is not None:
         # a repeated column finds no 1 below the pivots: visit it once
         col_order = list(dict.fromkeys(operator.index(c) for c in col_order))
         for c in col_order:
             if not 0 <= c < n_cols:
                 raise ValueError(f"column {c} is outside [0, {n_cols})")
+        n_search = len(col_order)
+        if col_order != list(range(n_search)):
+            old_of = col_order + sorted(set(range(n_cols)).difference(col_order))
     if n_rows == 0:
         return []
     rows = matrix.rows
-    unvisited = from_ones(col_order, n_cols)  # searched columns not yet visited
-    # marked[c]: the non-pivot rows with a 1 in column c
-    marked: dict[int, set[int]] = {}
+    if old_of is not None:
+        new_of = [0] * n_cols
+        for j, c in enumerate(old_of):
+            new_of[c] = j
+        rows = [from_ones([new_of[c] for c in ones(v)], n_cols) for v in rows]
+    # head[c] -> nxt[i] -> ...: the non-pivot rows whose lowest set bit is c
+    head = [-1] * n_search
+    nxt = [-1] * n_rows
     for i, v in enumerate(rows):
-        for c in ones(v & unvisited):
-            marked.setdefault(c, set()).add(i)
+        j = (v & -v).bit_length() - 1
+        if 0 <= j < n_search:
+            nxt[i] = head[j]
+            head[j] = i
     pos = list(range(n_rows))  # row id -> position
     at = list(range(n_rows))   # position -> row id
     pivot_cols: list[int] = []
-    for c in col_order:
-        k = len(pivot_cols)
-        if k >= n_rows:
-            break
-        unvisited ^= 1 << c
-        hits = marked.pop(c, None)
-        if not hits:
+    for c, p in enumerate(head):
+        if p < 0:
             continue
+        k = len(pivot_cols)
+        hits = [p]
+        while (p := nxt[p]) >= 0:
+            hits.append(p)
         p = min(hits, key=pos.__getitem__)
         q, s = pos[p], at[k]
         at[k], at[q], pos[p], pos[s] = p, s, k, q
         pivot = rows[p]
         for i in hits:
             if i != p:
-                rows[i] ^= pivot
-        # every such column marks p, so the XOR unmarks it
-        for j in ones(pivot & unvisited):
-            marked[j] ^= hits
+                rows[i] = v = rows[i] ^ pivot
+                j = (v & -v).bit_length() - 1
+                if 0 <= j < n_search:
+                    nxt[i] = head[j]
+                    head[j] = i
         pivot_cols.append(c)
-    del marked
+    del head, nxt, pos
     later = 0
     row_of = {}
     for c, p in zip(reversed(pivot_cols), reversed(at[: len(pivot_cols)])):
@@ -131,8 +150,11 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
         rows[p] = v
         later |= 1 << c
         row_of[c] = p
-    rows[:] = [rows[i] for i in at]
-    return pivot_cols
+    if old_of is None:
+        rows[:] = [rows[i] for i in at]
+        return pivot_cols
+    matrix.rows[:] = [from_ones([old_of[c] for c in ones(rows[i])], n_cols) for i in at]
+    return [old_of[c] for c in pivot_cols]
 
 
 def rank(matrix: BitMatrix) -> int:

@@ -65,32 +65,33 @@ def test_each_violation_type_is_detected(case):
     other = Node.spider("t", Color.X, 0, (1, 0, 0))
     if case == "self_loop":
         d = Diagram([spider, other], [("s", "t"), ("s", "s")])
-        codes = {"self-loop"}
+        want = [Violation("self-loop", "s--s", "edge joins a node to itself")]
     elif case == "parallel":
         d = Diagram([spider, other], [("s", "t"), ("t", "s")])
-        codes = {"parallel-edge"}
+        want = [Violation("parallel-edge", "s--t", "duplicate edge")]
     elif case == "bare_spider":
         d = Diagram([spider], [])
-        codes = {"degree"}
+        want = [Violation("degree", "s", "spider must have degree >= 1")]
     elif case == "bad_layer":
         d = Diagram([spider, Node.boundary_out("o", (0, 0, -1))], [("s", "o")])
-        codes = {"layer"}
+        want = [Violation("layer", "o", "layer must be >= 0, got -1")]
     elif case == "spider_fields":
         broken = Node(id="s", kind=Kind.SPIDER, pos=(0, 0, 0))
         d = Diagram([broken, Node.boundary_out("o", (0, 0, 1))], [("s", "o")])
-        codes = {"fields"}
+        want = [Violation("fields", "s", "spider needs color and phase")]
     elif case == "boundary_fields":
         broken = Node(id="o", kind=Kind.BOUNDARY_OUT, pos=(0, 0, 1), color=Color.Z)
         d = Diagram([spider, broken], [("s", "o")])
-        codes = {"fields"}
+        want = [Violation("fields", "o", "out node must not carry color/phase")]
     elif case == "measure_fields":
         broken = Node(id="m", kind=Kind.MEASURE_OUT, pos=(0, 0, 1))
         d = Diagram([spider, broken], [("s", "m")])
-        codes = {"fields"}
+        want = [Violation("fields", "m", "measure node needs a check_id")]
     else:
         d = Diagram([spider, other], [("s", "t")], edge_kinds={("s", "t"): "hadamard"})
-        codes = {"edge-kind"}
-    assert codes <= {v.code for v in validate(d)}
+        want = [Violation("edge-kind", "s--t",
+                          "unsupported edge kind 'hadamard'; only plain edges are valid")]
+    assert validate(d) == want
 
 
 def test_construction_rejects_structural_corruption():
