@@ -17,14 +17,22 @@ places its error insertions between the program's layers.
 
 Randomness contract: every random bit is drawn from a counter-based
 generator keyed by (seed, shot index, instruction token), so shots are
-reproducible and independent of execution order.
+reproducible and independent of execution order. A draw is the 8-byte
+blake2b digest of ``f"{seed}:{shot}:{token}"``: :func:`counter_bit` takes
+the low bit of its first byte, :func:`counter_unit` reads it as a big-endian
+fraction of 2**64. Many draws of one shot can share :func:`shot_prefix`,
+the blake2b state of ``f"{seed}:{shot}:"``, copied and updated with each
+encoded token: the same keys as :func:`run`, hence the same digests. A
+digest reads below a rate exactly when it is below :func:`rate_bound`'s
+bytes, so such draws need no float.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+# hashlib's blake2b is this one; importing hashlib would also load OpenSSL
+from _blake2 import blake2b
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from itertools import combinations
@@ -42,14 +50,41 @@ Insertion = tuple[tuple[str, str], str]
 
 def counter_bit(seed: int, shot: int, token: str) -> int:
     """One reproducible random bit keyed by (seed, shot, token)."""
-    digest = hashlib.blake2b(f"{seed}:{shot}:{token}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{seed}:{shot}:{token}".encode(), digest_size=8).digest()
     return digest[0] & 1
 
 
 def counter_unit(seed: int, shot: int, token: str) -> float:
     """One reproducible uniform float in [0, 1)."""
-    digest = hashlib.blake2b(f"{seed}:{shot}:{token}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{seed}:{shot}:{token}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2**64
+
+
+def shot_prefix(seed: int, shot: int) -> blake2b:
+    """The blake2b state of the keys of one shot, before their token.
+
+    ``h = state.copy(); h.update(token.encode())`` gives in ``h.digest()``
+    the digest that :func:`counter_bit` and :func:`counter_unit` draw from.
+    """
+    return blake2b(f"{seed}:{shot}:".encode(), digest_size=8)
+
+
+def rate_bound(rate: float) -> bytes:
+    """Bytes that an 8-byte digest is below exactly when its unit is below ``rate``.
+
+    For a digest ``x`` (big-endian), ``x / 2**64 < rate`` holds for a prefix
+    of the digests, as that division rounds monotonically; the bound is the
+    first digest outside it, found by bisection on the same division. If
+    every digest is inside (rate > 1), nine 0xff bytes sort above them all.
+    """
+    lo, hi = 0, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 < rate:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo.to_bytes(8, "big") if lo < 2**64 else b"\xff" * 9
 
 
 # -- tableau ------------------------------------------------------------------

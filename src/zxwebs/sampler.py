@@ -35,7 +35,12 @@ record equals the tableau's for the same shot. A random check's coin is
 ``counter_bit(seed, shot, f"m{i}")`` with ``i`` its index in the shot's
 instruction stream: its error-free index plus the shot's number of
 insertions, since every insertion follows ``Prepare``. The logical's coin
-is keyed ``"logical"``.
+is keyed ``"logical"``. Each shot draws them all from one
+:func:`oracle.shot_prefix` state, copied and updated with tokens encoded
+once per call; an error bit fires when its digest is below the rate's
+:func:`oracle.rate_bound` and a coin is the digest's ``[0] & 1``, so the
+digests and bits are those of the keyed draws, with no key string or float
+per draw.
 """
 
 from __future__ import annotations
@@ -150,19 +155,30 @@ class OutcomeModel:
         for q, letter in fixed:
             for col in _error_columns(self.n, q, letter):
                 fixed_flips ^= self.flips[col]
-        draws = [(self.flips[col], f"err{letter}:{q}", rate) for q in range(self.n)
+        bounds = {rate: oracle.rate_bound(rate) for rate in (error_rate, z_error_rate)}
+        draws = [(self.flips[col], f"err{letter}:{q}".encode(), bounds[rate])
+                 for q in range(self.n)
                  for letter, rate, col in (("x", error_rate, q),
                                            ("z", z_error_rate, self.n + q)) if rate]
+        # a coin's token is m{its error-free position + the shot's insertions}
+        last = max(self._coin_positions, default=-1) + len(fixed) + len(draws)
+        marks = [f"m{i}".encode() for i in range(last + 1)]
         coins = list(zip(self._coin_positions, self.coin_map))
+        logical = LOGICAL.encode()
         outputs = range(self._n_outputs)
         for shot in range(n_shots):
+            draw = oracle.shot_prefix(seed, shot).copy
             value, count = self.base ^ fixed_flips, len(fixed)
-            for flips, token, rate in draws:
-                if oracle.counter_unit(seed, shot, token) < rate:
+            for flips, token, bound in draws:
+                key = draw()
+                key.update(token)
+                if key.digest() < bound:
                     value ^= flips
                     count += 1
             for pos, column in coins:
-                if oracle.counter_bit(seed, shot, LOGICAL if pos < 0 else f"m{pos + count}"):
+                key = draw()
+                key.update(logical if pos < 0 else marks[pos + count])
+                if key.digest()[0] & 1:
                     value ^= column
             yield count, self._record([value >> j & 1 for j in outputs])
 

@@ -45,8 +45,9 @@ GOLDEN_STDOUT = {
 }
 
 # (stdout, stderr) digests of sample runs whose summary goes to stderr: the
-# benchmark's sample-y5 command and a run with fixed Y and cancelling X
-# insertions under all-deterministic post-selection.
+# benchmark's sample-y5 command, a run with fixed Y and cancelling X
+# insertions under all-deterministic post-selection, and one at the edge
+# rates, where every X draw fires and Z draws split at one half.
 GOLDEN_STDOUT_STDERR = {
     ("sample", "-d", "5", "--rounds", "1", "--scheme", "inject-y", "-p", "0.01",
      "--postselect", "figure-set", "--format", "csv", "--shots", "500",
@@ -58,6 +59,11 @@ GOLDEN_STDOUT_STDERR = {
      "--postselect", "all-deterministic", "--format", "jsonl", "--seed", "5"):
         ("de941551d89d6d5c8116b432f3da4eb350f0a68a37ba75f3a88f42b4259de4b6",
          "a00c525d394e849494ec89557f1be6b3c9af412d22d095d6e186e909544e9aa0"),
+    ("sample", "-d", "3", "--rounds", "2", "--scheme", "inject-y", "-p", "1",
+     "--z-error-rate", "0.5", "--postselect", "all-deterministic", "--format", "jsonl",
+     "--seed", "11"):
+        ("a8ee079c917749f0f6ff12898b4abf27d760fcbd9e8f67dce1a7445d4b85286b",
+         "39e5ff095139d1490bb700ef67586a2b7827a56f056e52addb9db3f8a760f742"),
 }
 
 # (exit code, stderr) digests of infeasible correlators on the default

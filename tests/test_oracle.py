@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -16,6 +17,7 @@ from zxwebs.oracle import (
     canonical_group,
     canonical_stabilizer_group,
     counter_bit,
+    counter_unit,
     deterministic_checks,
     diagram_structure,
     lower,
@@ -157,6 +159,71 @@ def test_measurement_statistics_chi_square():
         ones += t.measure(zzzz, random_bit=counter_bit(5, s, "m")).outcome
     chi2 = (ones - shots / 2) ** 2 / (shots / 2) + ((shots - ones) - shots / 2) ** 2 / (shots / 2)
     assert math.erfc(math.sqrt(chi2 / 2)) > 0.001
+
+
+
+def random_rates(count: int, seed: int) -> list[float]:
+    """Uniform rates and rates spread over 300 decades, half and half."""
+    rng = random.Random(seed)
+    return [rng.random() if k % 2 else 10 ** -rng.uniform(0, 300) for k in range(count)]
+
+
+EDGE_RATES = [5e-324, 1e-300, 0.01, 0.05, 0.1, 0.5, 1 - 2**-53, 1.0]
+
+
+def test_rate_bound_is_the_first_digest_whose_unit_reaches_the_rate():
+    for rate in EDGE_RATES + random_rates(200, 30):
+        bound = oracle.rate_bound(rate)
+        assert len(bound) == 8
+        first = int.from_bytes(bound, "big")
+        assert 0 < first < 2**64
+        for x in (first - 1, first, first + 1):
+            assert (x.to_bytes(8, "big") < bound) == (x / 2**64 < rate), (rate, x)
+
+
+def test_rate_bound_outside_the_unit_interval():
+    every, none = b"\xff" * 8, b"\x00" * 8
+    for rate in (1.5, math.inf):
+        assert every < oracle.rate_bound(rate)
+    for rate in (0.0, -0.5, -math.inf, math.nan):
+        assert not none < oracle.rate_bound(rate)
+
+
+def random_keys(count: int, seed: int):
+    """(seed, shot, tokens): negative and wide seeds, the sampler's tokens and others."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cli_seed = rng.choice([rng.randrange(-1000, 1000), rng.getrandbits(80) - 2**79])
+        tokens = [rng.choice([f"errx:{rng.randrange(200)}", f"errz:{rng.randrange(200)}",
+                              f"m{rng.randrange(2000)}", "logical", "m",
+                              "".join(rng.choices(":ab0é", k=rng.randrange(6)))])
+                  for _ in range(4)]
+        yield cli_seed, rng.randrange(10**6), tokens
+
+
+def test_shot_prefix_gives_the_digests_of_the_keyed_draws():
+    for seed, shot, tokens in random_keys(300, 31):
+        prefix = oracle.shot_prefix(seed, shot)
+        for token in tokens:  # one prefix serves every draw of its shot
+            key = prefix.copy()
+            key.update(token.encode())
+            digest = key.digest()
+            assert digest == hashlib.blake2b(f"{seed}:{shot}:{token}".encode(),
+                                             digest_size=8).digest()
+            assert digest[0] & 1 == counter_bit(seed, shot, token)
+            assert int.from_bytes(digest, "big") / 2**64 == counter_unit(seed, shot, token)
+
+
+def test_digest_below_the_bound_is_a_unit_below_the_rate():
+    bounds = [(rate, oracle.rate_bound(rate)) for rate in EDGE_RATES + random_rates(20, 32)]
+    for seed, shot, tokens in random_keys(100, 33):
+        prefix = oracle.shot_prefix(seed, shot)
+        for token in tokens:
+            key = prefix.copy()
+            key.update(token.encode())
+            unit = counter_unit(seed, shot, token)
+            for rate, bound in bounds:
+                assert (key.digest() < bound) == (unit < rate), (seed, shot, token, rate)
 
 
 def test_canonical_group_invariance():

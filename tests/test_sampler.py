@@ -90,10 +90,25 @@ def test_unreported_outcomes_draw_no_coins(monkeypatch):
     layout, diag, logical = scheme_circuit(5, "inject-y")
     program = oracle.lower(diag)
     postselect = postselect_set(program, "figure-set")
-    calls = []
-    counter_bit = oracle.counter_bit
-    monkeypatch.setattr(oracle, "counter_bit",
-                        lambda *args: calls.append(args) or counter_bit(*args))
+    calls = []  # the coin tokens drawn from any shot's prefix state
+
+    class Spy:
+        def __init__(self, state):
+            self.state = state
+
+        def copy(self):
+            return Spy(self.state.copy())
+
+        def update(self, token):
+            if not token.startswith(b"err"):
+                calls.append(token)
+            self.state.update(token)
+
+        def digest(self):
+            return self.state.digest()
+
+    shot_prefix = oracle.shot_prefix
+    monkeypatch.setattr(oracle, "shot_prefix", lambda *args: Spy(shot_prefix(*args)))
     quiet = sampler.OutcomeModel(program, logical, postselect=postselect, report=())
     quiet_records = list(quiet.shots(SEED, 20, error_rate=0.05))
     assert calls == []
