@@ -215,6 +215,9 @@ def cmd_sample(config: RunConfig) -> int:
     shots = model.shots(config.seed, config.shots, error_rate=config.error_rate,
                         z_error_rate=config.z_error_rate,
                         fixed=_parse_error_flags(layout, config.errors))
+    # a jsonl record's keys and forced flags are the same in every shot
+    keys = sorted(model.report)
+    forced = {k: model.forced[k] for k in keys}
     rows, record_lines = [], []
     n_accepted = n_flip_raw = n_flip_accepted = 0
     for shot, (n_errors, rec) in enumerate(shots):
@@ -228,8 +231,8 @@ def cmd_sample(config: RunConfig) -> int:
             record_lines.append(json.dumps({
                 "shot": shot,
                 "n_errors": n_errors,
-                "outcomes": {k: rec.outcomes[k] for k in sorted(rec.outcomes)},
-                "forced": {k: rec.forced[k] for k in sorted(rec.forced)},
+                "outcomes": {k: rec.outcomes[k] for k in keys},
+                "forced": forced,
                 "accepted": rec.accepted,
                 "logical_y": rec.logical_y,
             }, separators=(",", ":")))

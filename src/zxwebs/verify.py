@@ -29,8 +29,9 @@ class CheckResult(namedtuple("CheckResult", "name ok detail")):
     __slots__ = ()
 
 
-def stub_product(record: oracle.ShotRecord, stub_set) -> int:
-    return sum(record.outcomes[c] for c in stub_set) % 2
+def lit_checks(record: oracle.ShotRecord) -> frozenset[str]:
+    """check_ids that read 1; a stub set's outcome product is ``len(lit & stubs) & 1``."""
+    return frozenset(c for c, bit in record.outcomes.items() if bit)
 
 
 def check_builder_valid(diag: Diagram) -> CheckResult:
@@ -76,26 +77,22 @@ def check_linearity(diag: Diagram, space: WebSpace, seed: int = 0) -> CheckResul
                        f"{combos} random XOR combinations, {bad} invalid")
 
 
-def check_detectors(program: oracle.Program, dets: list[Web], seed: int,
-                    shots: int) -> CheckResult:
+def check_detectors(program: oracle.Program, dets: list[Web],
+                    shots: list[tuple[frozenset[str], int]]) -> CheckResult:
     det_checks = oracle.deterministic_checks(program)
     stub_sets = [w.stub_set() for w in dets]
     single = {next(iter(s)) for s in stub_sets if len(s) == 1}
-    ok = single == det_checks
-    flips = 0
-    for s in range(shots):
-        rec = oracle.run(program, seed=seed, shot=s)
-        flips += sum(stub_product(rec, stub_set) for stub_set in stub_sets)
-    ok = ok and flips == 0
+    flips = sum(len(lit & stub_set) & 1 for lit, _ in shots for stub_set in stub_sets)
+    ok = single == det_checks and flips == 0
     return CheckResult(
         "detectors-deterministic", ok,
         f"{len(dets)} detector webs; single-stub set "
         f"{'matches' if single == det_checks else 'DIFFERS from'} oracle "
-        f"deterministic checks; {flips} nontrivial products over {shots} shots")
+        f"deterministic checks; {flips} nontrivial products over {len(shots)} shots")
 
 
 def check_correlator(program: oracle.Program, layout: Layout, scheme: str,
-                     op: PauliOperator, seed: int, shots: int) -> CheckResult:
+                     op: PauliOperator, shots: list[tuple[frozenset[str], int]]) -> CheckResult:
     diag = program.diagram
     result = webs.solve(diag, correlator_boundary_condition(diag, op))
     if isinstance(result, webs.Infeasible):
@@ -109,15 +106,11 @@ def check_correlator(program: oracle.Program, layout: Layout, scheme: str,
             return CheckResult("correlator", False,
                                "injected spider's leg is not Y-highlighted")
     stub_set = result.stub_set()
-    bad = 0
-    for s in range(shots):
-        rec = oracle.run(program, seed=seed, shot=s, measure_logical=op)
-        if (stub_product(rec, stub_set) + rec.logical_y) % 2 != 0:
-            bad += 1
+    bad = sum((len(lit & stub_set) + logical_y) & 1 for lit, logical_y in shots)
     return CheckResult(
         "correlator", bad == 0,
         f"{scheme} logical correlator, stub set {sorted(stub_set)}; "
-        f"{bad}/{shots} shots broke the outcome product")
+        f"{bad}/{len(shots)} shots broke the outcome product")
 
 
 def check_forbidden_termination(diag: Diagram, layout: Layout) -> CheckResult:
@@ -155,8 +148,8 @@ def check_syndrome_equivalence(program: oracle.Program, dets: list[Web], seed: i
     for items in error_sets:
         err = PauliErrorSet.of(diag, items)
         predicted = webs.flip_parities(dets, err)
-        rec = oracle.run(program, err, seed=seed)
-        if predicted != [stub_product(rec, s) for s in stub_sets]:
+        lit = lit_checks(oracle.run(program, err, seed=seed))
+        if predicted != [len(lit & s) & 1 for s in stub_sets]:
             mismatches += 1
     label = "exhaustive" if exhaustive else f"{samples} sampled"
     return CheckResult("syndrome-equivalence", mismatches == 0,
@@ -207,12 +200,15 @@ def run_suite(distance: int, scheme: str, rounds: int, *, seed: int = 0,
     program = oracle.lower(diag)
     space = webs.web_space(diag)
     dets = webs.detectors(diag)
+    # one tableau run per error-free shot: (lit checks, logical bit), read by two items
+    error_free = [(lit_checks(rec), rec.logical_y) for rec in (
+        oracle.run(program, seed=seed, shot=s, measure_logical=logical) for s in range(shots))]
     results = [
         check_builder_valid(diag),
         check_web_space(diag, space),
         check_linearity(diag, space, seed=seed),
-        check_detectors(program, dets, seed, shots),
-        check_correlator(program, layout, scheme, logical, seed, shots),
+        check_detectors(program, dets, error_free),
+        check_correlator(program, layout, scheme, logical, error_free),
     ]
     if scheme == "inject-y":
         results.append(check_forbidden_termination(diag, layout))

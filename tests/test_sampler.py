@@ -8,6 +8,7 @@ tableau's on the same insertions, drawn here with the sample command's keys.
 import pytest
 
 from zxwebs import oracle, sampler, webs
+from zxwebs.diagram import Color, Diagram, Node
 from zxwebs.surface import scheme_circuit
 
 SHOTS = 10
@@ -30,14 +31,14 @@ def postselect_set(program, mode):
     return sorted(checks)
 
 
-def tableau_shot(program, layout, logical, postselect, seed, shot,
+def tableau_shot(program, logical, postselect, seed, shot,
                  error_rate, z_error_rate, fixed):
     """(insertions, record) of one shot, drawn and run on the tableau."""
-    items = [((f"q{q}.l0", f"q{q}.l1"), letter) for q, letter in fixed]
-    for q in range(layout.n):
+    items = [(program.structure.world_edges(q)[0], letter) for q, letter in fixed]
+    for q in range(program.structure.n):
         for letter, rate in (("X", error_rate), ("Z", z_error_rate)):
             if rate and oracle.counter_unit(seed, shot, f"err{letter.lower()}:{q}") < rate:
-                items.append(((f"q{q}.l0", f"q{q}.l1"), letter))
+                items.append((program.structure.world_edges(q)[0], letter))
     errors = webs.PauliErrorSet.of(program.diagram, items)
     return len(items), oracle.run(program, errors, seed=seed, shot=shot,
                                   postselect=postselect, measure_logical=logical)
@@ -56,7 +57,7 @@ def test_model_matches_tableau_shot_for_shot(scheme, d, rounds):
             fixed = fixed_of(d)
             got = list(model.shots(SEED, SHOTS, error_rate=error_rate,
                                    z_error_rate=z_error_rate, fixed=fixed))
-            want = [tableau_shot(program, layout, logical, postselect, SEED, shot,
+            want = [tableau_shot(program, logical, postselect, SEED, shot,
                                  error_rate, z_error_rate, fixed)
                     for shot in range(SHOTS)]
             assert got == want, (mode, error_rate, z_error_rate, fixed)
@@ -70,9 +71,57 @@ def test_model_matches_tableau_where_detectors_share_their_last_stub(scheme):
     program = oracle.lower(diag)
     model = sampler.OutcomeModel(program, logical)
     got = list(model.shots(SEED, SHOTS, error_rate=0.1, z_error_rate=0.1))
-    want = [tableau_shot(program, layout, logical, None, SEED, shot, 0.1, 0.1, ())
+    want = [tableau_shot(program, logical, None, SEED, shot, 0.1, 0.1, ())
             for shot in range(SHOTS)]
     assert got == want
+
+
+def coin_chain_diagram():
+    """A d=3 diagram, all qubits in |0>, whose last X check is forced to the
+    XOR of two coins: X0X1 and X1X2 are random, Z1 is random and leaves X0X2
+    in the stabilizer group only as the product of the first two. In the
+    tableau that product is a row multiplication, which must XOR the rows'
+    coin masks (``Tableau._rowmult``); no surface-code circuit needs it."""
+    d = 3
+    # (layer, check_id, support): X checks in odd layers, Z checks in even ones
+    checks = [(1, "r1.X0", (0, 1)), (1, "r1.X1", (1, 2)), (2, "r1.Z0", (1,)),
+              (3, "r2.X0", (0, 2)), (4, "r2.Z0", (8,))]
+
+    def at(q, layer):
+        return (2 * (q // d), 2 * (q % d), layer)
+
+    nodes = [Node.spider(f"q{q}.l0", Color.X, 0, at(q, 0)) for q in range(d * d)]
+    chains = {q: [f"q{q}.l0"] for q in range(d * d)}
+    edges = []
+    for layer in range(1, 5):
+        data_color = Color.X if layer % 2 else Color.Z
+        here = [(k, c, support) for k, (lay, c, support) in enumerate(checks) if lay == layer]
+        for q in sorted({q for _, _, support in here for q in support}):
+            nodes.append(Node.spider(f"q{q}.l{layer}", data_color, 0, at(q, layer)))
+            chains[q].append(f"q{q}.l{layer}")
+        for k, check_id, support in here:
+            ancilla, stub, pos = f"a.{check_id}", f"m.{check_id}", (-1, 2 * k + 1, layer)
+            nodes += [Node.spider(ancilla, data_color.opposite, 0, pos),
+                      Node.measure_out(stub, check_id, pos)]
+            edges += [(ancilla, stub)] + [(ancilla, f"q{q}.l{layer}") for q in support]
+    for q in range(d * d):
+        nodes.append(Node.boundary_out(f"out.q{q}", at(q, 5)))
+        chains[q].append(f"out.q{q}")
+        edges += zip(chains[q], chains[q][1:])
+    return Diagram(nodes, edges)
+
+
+def test_model_matches_tableau_where_a_check_needs_two_coins():
+    program = oracle.lower(coin_chain_diagram())
+    steps = {step.check_id: step.result for step in oracle.walk(program).checks}
+    assert steps["r2.X0"] == oracle.MeasureResult(outcome=0, deterministic=True, aux=0b11)
+    for postselect in (None, ["r2.X0", "r2.Z0"]):
+        model = sampler.OutcomeModel(program, None, postselect=postselect)
+        got = list(model.shots(SEED, 50, error_rate=0.1, z_error_rate=0.1))
+        want = [tableau_shot(program, None, postselect, SEED, shot, 0.1, 0.1, ())
+                for shot in range(50)]
+        assert got == want
+        assert {rec.outcomes["r2.X0"] for _, rec in got} == {0, 1}
 
 
 def test_model_sees_flips_and_acceptance_both_ways():

@@ -1,4 +1,5 @@
-"""The verify items against test-local copies of the loops they replaced."""
+"""The verify items against test-local copies of the loops they replaced, and
+the FAIL lines they print under mutations of the webs, tableau and shots."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from zxwebs import gf2, oracle, webs
 from zxwebs.pauli import PauliOperator
 from zxwebs.surface import InitState, scheme_circuit
-from zxwebs.verify import CheckResult, check_footnote5, check_web_space
+from zxwebs.verify import CheckResult, check_footnote5, check_web_space, run_suite
 
 from conftest import assert_frozen_record
 
@@ -95,3 +96,71 @@ def test_web_space_item_fails_when_the_null_space_loses_a_vector(monkeypatch):
     # the rank is the item's own elimination, not what the short basis implies
     dim = len(space.basis)
     assert short.detail == good.detail.replace(f"dim {dim + 1} ", f"dim {dim} ")
+
+
+def drop_last_stub(dets):
+    """The detectors with both bits of one stub edge cleared: the last stub
+    edge of the first detector that has at least two."""
+    for k, w in enumerate(dets):
+        stubs = sorted(e for e in w.diagram.stub_index if w.mask >> 2 * e & 3)
+        if len(stubs) >= 2:
+            return [*dets[:k], webs.Web(w.diagram, w.mask & ~(3 << 2 * stubs[-1])),
+                    *dets[k + 1:]]
+    raise AssertionError("no detector has two stubs")
+
+
+def mutate(monkeypatch, mutation):
+    if mutation == "web":
+        real_detectors = webs.detectors
+        monkeypatch.setattr(webs, "detectors", lambda d: drop_last_stub(real_detectors(d)))
+    elif mutation == "tableau":
+        real_measure = oracle.Tableau.measure
+
+        def measure(self, op, random_bit=None):
+            # a forced outcome that depends on coins always reads 0
+            res = real_measure(self, op, random_bit)
+            return res._replace(outcome=0) if res.deterministic and res.aux else res
+
+        monkeypatch.setattr(oracle.Tableau, "measure", measure)
+    else:
+        real_run = oracle.run
+
+        def run(program, *args, seed=0, shot=0, **kwargs):
+            rec = real_run(program, *args, seed=seed, shot=shot, **kwargs)
+            if rec.logical_y is not None and oracle.counter_bit(seed, shot, "flip"):
+                rec = rec._replace(logical_y=rec.logical_y ^ 1)
+            return rec
+
+        monkeypatch.setattr(oracle, "run", run)
+
+
+# the one FAIL line each mutation gives, byte for byte
+MUTATION_FAILURES = {
+    ("inject-y", "web"):
+        "FAIL detectors-deterministic: 11 detector webs; single-stub set DIFFERS from "
+        "oracle deterministic checks; 26 nontrivial products over 50 shots",
+    ("inject-y", "tableau"):
+        "FAIL detectors-deterministic: 11 detector webs; single-stub set matches "
+        "oracle deterministic checks; 129 nontrivial products over 50 shots",
+    ("inject-y", "correlator"):
+        "FAIL correlator: inject-y logical correlator, stub set []; "
+        "28/50 shots broke the outcome product",
+    ("memory-z", "web"):
+        "FAIL detectors-deterministic: 12 detector webs; single-stub set DIFFERS from "
+        "oracle deterministic checks; 29 nontrivial products over 50 shots",
+    ("memory-z", "tableau"):
+        "FAIL detectors-deterministic: 12 detector webs; single-stub set matches "
+        "oracle deterministic checks; 102 nontrivial products over 50 shots",
+    ("memory-z", "correlator"):
+        "FAIL correlator: memory-z logical correlator, stub set []; "
+        "28/50 shots broke the outcome product",
+}
+
+
+@pytest.mark.parametrize("scheme, mutation", list(MUTATION_FAILURES), ids="-".join)
+def test_shot_items_report_a_broken_web_or_tableau(monkeypatch, scheme, mutation):
+    assert all(r.ok for r in run_suite(3, scheme, 2, seed=7, shots=50))
+    mutate(monkeypatch, mutation)
+    failed = [f"FAIL {r.name}: {r.detail}"
+              for r in run_suite(3, scheme, 2, seed=7, shots=50) if not r.ok]
+    assert failed == [MUTATION_FAILURES[scheme, mutation]]
