@@ -184,15 +184,17 @@ class Diagram:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise DiagramError(f"duplicate node ids: {dupes}")
         self._by_id: dict[str, Node] = {n.id: n for n in node_list}
+        key = {n.id: n.sort_key for n in node_list}  # each node's sort key, once
+        keyed = []  # (endpoint keys, edge) per edge, oriented as edge_key orients it
         for a, b in edges:
             for endpoint in (a, b):
-                if endpoint not in self._by_id:
+                if endpoint not in key:
                     raise DiagramError(f"edge references unknown node {endpoint!r}")
-        self.nodes: tuple[Node, ...] = tuple(sorted(node_list, key=lambda n: n.sort_key))
-        self.edges: tuple[tuple[str, str], ...] = tuple(
-            sorted((self.edge_key(a, b) for a, b in edges),
-                   key=lambda e: (self._by_id[e[0]].sort_key, self._by_id[e[1]].sort_key))
-        )
+            ka, kb = key[a], key[b]
+            keyed.append(((ka, kb), (a, b)) if ka <= kb else ((kb, ka), (b, a)))
+        keyed.sort()
+        self.nodes: tuple[Node, ...] = tuple(sorted(node_list, key=lambda n: key[n.id]))
+        self.edges: tuple[tuple[str, str], ...] = tuple(e for _, e in keyed)
         self.metadata: dict[str, str] = dict(metadata or {})
         self._adjacency: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for a, b in self.edges:

@@ -1,9 +1,11 @@
 """GF(2) linear algebra on rows held as Python ints: bit c of a row is column c.
 
 Every function takes a :class:`BitMatrix` and int vectors and returns ints;
-the module needs only the standard library. Where only the pivot columns
-and rows of an RREF are read, rows go sparsest first: those depend on the
-row space and column order alone, and sparse pivots make less fill.
+the module needs only the standard library. Every function that eliminates
+reduces its matrix's rows in place, to the RREF :func:`rref` leaves. Where
+only the pivot columns and rows of an RREF are read, rows go sparsest
+first: those depend on the row space and column order alone, and sparse
+pivots make less fill.
 """
 
 from __future__ import annotations
@@ -64,21 +66,23 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     k + 1. The kernel runs that loop in two phases on the int rows, because
     the matrices are mostly zeros.
 
-    - Relabel: the searched columns become 0, 1, ... in ``col_order``, and
-      the others follow in ascending order. Row operations commute with a
-      column permutation, so the loop on the relabelled rows is the loop
-      on the rows, and the rows and pivots are mapped back at the end. A
-      prefix ``range(m)`` of the columns, as ``solve_affine`` searches,
-      needs no relabel.
-    - Forward, columns c = 0, 1, ... of the m searched ones: each non-pivot
-      row is chained in a bucket under its lowest set bit, if that bit is
-      below m. At the visit of c, the non-pivot rows with a 1 at c are
-      exactly bucket c: every earlier column was a pivot column, cleared
-      from all non-pivot rows, or had no 1 in any of them, and later XORs
-      combine only rows that were non-pivot at those visits. The pivot is
-      the bucket's row with the lowest current position, swapped in by two
-      position lists. It is XORed into the bucket's other rows, each of
-      which then moves to the bucket of its new lowest bit.
+    - Buckets: a row belongs under its first searched column, the one of
+      its set bits that comes first in ``col_order``. With no order, or a
+      prefix ``range(m)`` of the columns as ``solve_affine`` searches, that
+      is its lowest set bit, if below m. Otherwise ``col_order`` is split
+      into ascending runs, one mask each, and the bucket is the lowest set
+      bit of the first run mask the row meets: one AND per run until a hit.
+      The rows never leave column space, so nothing is mapped back. The
+      orders the pipeline makes have 1 or 2 runs; an order of many short
+      runs, such as a reversed one, is still exact but slower.
+    - Forward, the searched columns c in order: each non-pivot row is
+      chained in its bucket. At the visit of c, the non-pivot rows with a
+      1 at c are exactly bucket c: every earlier column was a pivot
+      column, cleared from all non-pivot rows, or had no 1 in any of them,
+      and later XORs combine only rows that were non-pivot at those visits.
+      The pivot is the bucket's row with the lowest current position,
+      swapped in by two position lists. It is XORed into the bucket's other
+      rows, each of which then moves to its new bucket.
     - Back-substitution, pivots in reverse: final_k = fwd_k XOR final_t for
       every later pivot column c_t set in fwd_k. The rows are then listed
       in position order.
@@ -92,36 +96,39 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
     one such row, and back-substitution builds it.
     """
     n_rows, n_cols = matrix.n_rows, matrix.n_cols
-    n_search, old_of = n_cols, None  # old_of[j]: the column relabelled j
+    order, runs = range(n_cols), None
     if col_order is not None:
         # a repeated column finds no 1 below the pivots: visit it once
         col_order = list(dict.fromkeys(operator.index(c) for c in col_order))
         for c in col_order:
             if not 0 <= c < n_cols:
                 raise ValueError(f"column {c} is outside [0, {n_cols})")
-        n_search = len(col_order)
-        if col_order != list(range(n_search)):
-            old_of = col_order + sorted(set(range(n_cols)).difference(col_order))
+        order = range(len(col_order))
+        if col_order != list(order):
+            order, runs, prev = col_order, [], n_cols
+            for c in col_order:  # one mask per ascending run of the order
+                if c < prev:
+                    runs.append(0)
+                runs[-1] |= 1 << c
+                prev = c
     if n_rows == 0:
         return []
     rows = matrix.rows
-    if old_of is not None:
-        new_of = [0] * n_cols
-        for j, c in enumerate(old_of):
-            new_of[c] = j
-        rows = [from_ones([new_of[c] for c in ones(v)], n_cols) for v in rows]
-    # head[c] -> nxt[i] -> ...: the non-pivot rows whose lowest set bit is c
-    head = [-1] * n_search
+    # a bucket key past the searched columns (or -1 for none) files no row
+    bound = len(order) if runs is None else n_cols
+    # head[c] -> nxt[i] -> ...: the non-pivot rows whose first searched 1 is at c
+    head = [-1] * bound
     nxt = [-1] * n_rows
     for i, v in enumerate(rows):
-        j = (v & -v).bit_length() - 1
-        if 0 <= j < n_search:
+        j = (v & -v).bit_length() - 1 if runs is None else _bucket(v, runs)
+        if 0 <= j < bound:
             nxt[i] = head[j]
             head[j] = i
     pos = list(range(n_rows))  # row id -> position
     at = list(range(n_rows))   # position -> row id
     pivot_cols: list[int] = []
-    for c, p in enumerate(head):
+    for c in order:
+        p = head[c]
         if p < 0:
             continue
         k = len(pivot_cols)
@@ -135,8 +142,8 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
         for i in hits:
             if i != p:
                 rows[i] = v = rows[i] ^ pivot
-                j = (v & -v).bit_length() - 1
-                if 0 <= j < n_search:
+                j = (v & -v).bit_length() - 1 if runs is None else _bucket(v, runs)
+                if 0 <= j < bound:
                     nxt[i] = head[j]
                     head[j] = i
         pivot_cols.append(c)
@@ -150,11 +157,16 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
         rows[p] = v
         later |= 1 << c
         row_of[c] = p
-    if old_of is None:
-        rows[:] = [rows[i] for i in at]
-        return pivot_cols
-    matrix.rows[:] = [from_ones([old_of[c] for c in ones(rows[i])], n_cols) for i in at]
-    return [old_of[c] for c in pivot_cols]
+    rows[:] = [rows[i] for i in at]
+    return pivot_cols
+
+
+def _bucket(v: int, runs: list[int]) -> int:
+    """The first column of ``v`` in the order whose ascending runs are ``runs``, or -1."""
+    for m in runs:
+        if w := v & m:
+            return (w & -w).bit_length() - 1
+    return -1
 
 
 def rank(matrix: BitMatrix) -> int:
@@ -190,23 +202,33 @@ def solve_affine(matrix: BitMatrix, rhs: Sequence[int]) -> tuple[int | None, lis
     variables, as an int, or (None, witness) where witness lists indices of
     the input rows whose XOR yields an inconsistent 0 = 1 equation. Only an
     inconsistent system is reduced a second time, in row order with an
-    identity tail [A | b | I] that records the row history. ``matrix`` is
-    left as it was.
+    identity tail [A | b | I] that records the row history.
+
+    A consistent system reduces ``matrix.rows`` in place to the RREF of A,
+    as :func:`rref` leaves it, so a later elimination of A has little left
+    to do; an inconsistent one leaves ``matrix`` as it was.
     """
     n_cols, n_rows = matrix.n_cols, matrix.n_rows
     if len(rhs) != n_rows:
         raise ValueError(f"rhs has {len(rhs)} entries for {n_rows} rows")
     for history in (False, True):
+        # a row with nothing to append is shared with ``matrix``, not copied
         aug = BitMatrix(n_cols + 1 + history * n_rows, [
-            row | (b & 1) << n_cols | history << (n_cols + 1 + i)
+            row | (b & 1) << n_cols | history << (n_cols + 1 + i) if b & 1 or history else row
             for i, (row, b) in enumerate(zip(matrix.rows, rhs))])
         if not history:
             aug.rows.sort(key=int.bit_count)
         pivot_cols = rref(aug, col_order=range(n_cols))
         bad = next((row for row in aug.rows[len(pivot_cols):] if row >> n_cols & 1), None)
         if bad is None:
-            return from_ones((c for c, row in zip(pivot_cols, aug.rows)
-                              if row >> n_cols & 1), n_cols), []
+            # read x off the b bits, then clear them: the reduced [A | b] becomes A's RREF
+            x, rows = 0, aug.rows
+            for k, c in enumerate(pivot_cols):
+                if rows[k] >> n_cols & 1:
+                    x |= 1 << c
+                    rows[k] ^= 1 << n_cols
+            matrix.rows[:] = rows
+            return x, []
         if history:
             return None, ones(bad >> (n_cols + 1))
 

@@ -67,11 +67,11 @@ def check_linearity(diag: Diagram, space: WebSpace, seed: int = 0) -> CheckResul
     combos = 200
     bad = 0
     for _ in range(combos):
-        acc = Web.zero(diag)
+        mask = 0
         for w in space.basis:
             if rng.random() < 0.5:
-                acc = acc ^ w
-        if webs.validate_web(diag, acc):
+                mask ^= w.mask
+        if webs.validate_web(diag, Web(diag, mask)):
             bad += 1
     return CheckResult("web-linearity", bad == 0,
                        f"{combos} random XOR combinations, {bad} invalid")

@@ -116,8 +116,8 @@ class Web:
 
     def to_highlights(self) -> dict[str, str]:
         """Document form: edge name -> highlight letter (nonzero only)."""
-        return {self.diagram.edge_name(e): hl.value
-                for e, hl in self.highlight_map().items()}
+        edges = self.diagram.edges  # canonical pairs: each name is "a--b" as is
+        return {"--".join(edges[i]): hl.value for i, hl in self._lit()}
 
     def boundary_restriction(self) -> dict[str, Highlight]:
         """Nonzero highlights on open boundary legs, keyed by leg node id."""
@@ -295,6 +295,7 @@ def solve(d: Diagram, bc: BoundaryCondition) -> Web | Infeasible:
         return Infeasible(
             spiders=tuple(sorted({system.row_spiders[i] for i in witness if i < n_rules})),
             legs=tuple(sorted({legs[i - n_rules] for i in witness if i >= n_rules})))
+    # solve_affine left ``matrix`` in RREF: this elimination has little left to do
     kernel = gf2.BitMatrix(matrix.n_cols, gf2.nullspace(matrix))
     return Web(d, gf2.lexmin_in_coset(solution, kernel, _stub_priority(d)))
 
@@ -324,8 +325,8 @@ def detectors(d: Diagram) -> list[Web]:
     if not basis.rows:
         return []
     gf2.rref(basis, col_order=_stub_priority(d))
-    candidates = [Web(d, vec) for vec in basis.rows if vec]
-    return [web for web in candidates if web.stub_set()]
+    stubs = sum(3 << 2 * leg.index for leg in d.stub_legs)  # both bits of each stub edge
+    return [Web(d, vec) for vec in basis.rows if vec & stubs]
 
 
 class PauliErrorSet(namedtuple("PauliErrorSet", "insertions")):

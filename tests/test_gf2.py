@@ -291,14 +291,17 @@ def test_int_row_nullspace_and_solve_affine_match_loop_references(width):
                       (rng.random(rows) < 0.5).astype(np.uint8)):
                 matrix = gf2.BitMatrix(width, list(a_rows))
                 got, got_witness = gf2.solve_affine(matrix, b.tolist())
-                assert matrix.rows == a_rows  # the input rows are left as they were
                 want, want_witness = loop_solve_affine(a, b)
                 assert got_witness == want_witness
                 if want is None:
                     assert got is None
+                    assert matrix.rows == a_rows  # an inconsistent system is left as it was
                     inconsistent += 1
                 else:
                     assert got == packed(want).rows[0]
+                    reduced = gf2.BitMatrix(width, list(a_rows))
+                    loop_rref(reduced)
+                    assert matrix.rows == reduced.rows  # a consistent one is left in RREF
     assert inconsistent > 0
 
 
@@ -347,14 +350,47 @@ def assert_rref_matches_loop(matrix, col_order=None):
 
 
 def col_orders(rng, width):
-    """None, full and partial orders (prefix, upper half, reversed) and repeats."""
+    """None, full and partial orders (prefix, upper half, reversed), repeats,
+    and orders of a few ascending runs, the shapes the pipeline makes."""
     yield None
-    yield rng.permutation(width).tolist()
+    perm = rng.permutation(width).tolist()
+    yield perm
     yield list(range(width // 2))
     # searched columns above unsearched ones, in a shuffled order
     yield rng.permutation(range(width // 2, width)).tolist()
     yield list(reversed(range(width)))
     yield rng.integers(0, width, size=2 * width).tolist() if width else []
+    # _stub_priority's shape: a subset ascending, then every other column ascending
+    subset = sorted(perm[: width // 3])
+    yield subset + sorted(set(range(width)).difference(subset))
+    # two runs, upper columns then lower ones, over half of the columns
+    half = perm[: width // 2]
+    yield sorted(c for c in half if 2 * c >= width) + sorted(c for c in half if 2 * c < width)
+    # three runs: the top third, the middle third, the bottom third
+    yield [c for k in (2, 1, 0) for c in range(k * width // 3, (k + 1) * width // 3)]
+
+
+def ascending_runs(order):
+    return sum(1 for a, b in zip([None, *order], order) if a is None or b < a)
+
+
+def test_col_orders_hold_the_run_shapes_rref_keys_by():
+    rng = np.random.default_rng(7)
+    runs = [ascending_runs(order) for order in list(col_orders(rng, 129))[-3:]]
+    assert runs == [2, 2, 3]
+
+
+def test_stub_priority_rref_relabels_no_rows(monkeypatch):
+    _, diagram, _ = scheme_circuit(5, "inject-y", 2)
+    order = webs._stub_priority(diagram)
+    assert ascending_runs(order) == 2
+    basis = gf2.BitMatrix(2 * len(diagram.edges),
+                          [w.mask for w in webs.web_space(diagram).basis])
+    built = []
+    from_ones = gf2.from_ones
+    monkeypatch.setattr(gf2, "from_ones", lambda *args: built.append(args) or from_ones(*args))
+    assert gf2.rref(basis, col_order=order)
+    assert built == []
 
 
 @pytest.mark.parametrize("width", [0, 63, 64, 65, 129])

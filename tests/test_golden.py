@@ -47,6 +47,9 @@ GOLDEN_STDOUT = {
         "b5b720e833c4ce8a2354a45a3b9f9ff67e3e63778ffc3928242960f620dfe3fa",
     ("verify", "-d", "3", "--rounds", "3", "--scheme", "memory-x", "--exhaustive-errors"):
         "f5dafdf308309674eba563cb40a9bbca6a220a2bf67847fa6e1f1bb77d913a17",
+    # the benchmark's webs-y9r3 command, with its scheme spelled out
+    ("webs", "-d", "9", "--rounds", "3", "--scheme", "inject-y"):
+        "f34864721029e6421225948ed940c1e8d09902427087c845a87e8a8fd024e79e",
     # the benchmark's verify-y5r2 command
     ("verify", "-d", "5", "--rounds", "2", "--shots", "20", "--samples", "20",
      "--footnote5", "--seed", "301"):
