@@ -298,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the web/oracle cross-check suite")
     _add_common(p_verify)
-    p_verify.add_argument("--shots", type=int, default=200)
+    p_verify.add_argument("--shots", type=int, default=200,
+                          help="error-free shots of the determinism and correlator "
+                               "items, predicted from one walk; the first "
+                               f"{verify.REFEREE_SHOTS} are re-run on the tableau")
     p_verify.add_argument("--exhaustive-errors", action="store_true")
     p_verify.add_argument("--samples", type=int, default=0,
                           help="random error insertions for syndrome checks")

@@ -84,8 +84,8 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
       swapped in by two position lists. It is XORed into the bucket's other
       rows, each of which then moves to its new bucket.
     - Back-substitution, pivots in reverse: final_k = fwd_k XOR final_t for
-      every later pivot column c_t set in fwd_k. The rows are then listed
-      in position order.
+      every later pivot column c_t set in fwd_k, if any. The rows are then
+      listed in position order.
 
     Why the two agree. The loop XORs a pivot row into the rows below it
     exactly as the forward phase does, so the pivot choices, the swaps and
@@ -132,29 +132,31 @@ def rref(matrix: BitMatrix, col_order: list[int] | None = None) -> list[int]:
         if p < 0:
             continue
         k = len(pivot_cols)
-        hits = [p]
-        while (p := nxt[p]) >= 0:
-            hits.append(p)
-        p = min(hits, key=pos.__getitem__)
+        if nxt[p] >= 0:  # a bucket of one row only swaps
+            hits = [p]
+            while (p := nxt[p]) >= 0:
+                hits.append(p)
+            p = min(hits, key=pos.__getitem__)
+            pivot = rows[p]
+            for i in hits:
+                if i != p:
+                    rows[i] = v = rows[i] ^ pivot
+                    j = (v & -v).bit_length() - 1 if runs is None else _bucket(v, runs)
+                    if 0 <= j < bound:
+                        nxt[i] = head[j]
+                        head[j] = i
         q, s = pos[p], at[k]
         at[k], at[q], pos[p], pos[s] = p, s, k, q
-        pivot = rows[p]
-        for i in hits:
-            if i != p:
-                rows[i] = v = rows[i] ^ pivot
-                j = (v & -v).bit_length() - 1 if runs is None else _bucket(v, runs)
-                if 0 <= j < bound:
-                    nxt[i] = head[j]
-                    head[j] = i
         pivot_cols.append(c)
     del head, nxt, pos
     later = 0
     row_of = {}
     for c, p in zip(reversed(pivot_cols), reversed(at[: len(pivot_cols)])):
         v = rows[p]
-        for j in ones(v & later):
-            v ^= rows[row_of[j]]
-        rows[p] = v
+        if w := v & later:
+            for j in ones(w):
+                v ^= rows[row_of[j]]
+            rows[p] = v
         later |= 1 << c
         row_of[c] = p
     rows[:] = [rows[i] for i in at]
@@ -190,8 +192,9 @@ def nullspace(matrix: BitMatrix) -> list[int]:
     # pivot row k holds the free-column coefficients of pivot variable k
     support = {f: [f] for f in free_cols}
     for row, c in zip(matrix.rows, pivot_cols):
-        for f in ones(row & free):
-            support[f].append(c)
+        if w := row & free:
+            for f in ones(w):
+                support[f].append(c)
     return [from_ones(support[f], n_cols) for f in free_cols]
 
 

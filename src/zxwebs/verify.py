@@ -4,13 +4,25 @@ Each item confronts a web-level statement (solver output) with the
 stabilizer tableau, or re-checks a structural property from two
 independent directions. Items report pass/fail plus a short detail line;
 they never raise on a mere disagreement.
+
+The detector and correlator items read the error-free shots, predicted from
+one :func:`oracle.walk`: every outcome is its walked base XOR the coins its
+``aux`` mask names, a random check's ``aux`` being its own coin, and each
+coin is drawn with the key :func:`oracle.run` gives it. The first
+``REFEREE_SHOTS`` shots are re-run on the tableau. If each equals its
+prediction, the items read the predictions and also require, exactly for
+every coin value, that each detector's stub product and the correlator's
+stub product XOR the logical are +1 on the walk. If any differs, the items
+read tableau records of every shot instead, as if nothing were predicted.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import namedtuple
+from functools import reduce
 
 from . import gf2, oracle, webs
 from .diagram import Diagram, validate
@@ -25,6 +37,13 @@ from .surface import (
 from .webs import Highlight, PauliErrorSet, Web, WebSpace
 
 
+# error-free shots re-run on the tableau to referee the walk's prediction
+REFEREE_SHOTS = 8
+
+# (lit checks, logical bit) of one error-free shot, as the shot items read it
+Shot = tuple[frozenset[str], int | None]
+
+
 class CheckResult(namedtuple("CheckResult", "name ok detail")):
     __slots__ = ()
 
@@ -32,6 +51,70 @@ class CheckResult(namedtuple("CheckResult", "name ok detail")):
 def lit_checks(record: oracle.ShotRecord) -> frozenset[str]:
     """check_ids that read 1; a stub set's outcome product is ``len(lit & stubs) & 1``."""
     return frozenset(c for c, bit in record.outcomes.items() if bit)
+
+
+def tableau_shot(program: oracle.Program, logical: PauliOperator | None,
+                 seed: int, shot: int) -> Shot:
+    """Error-free shot ``shot`` run on the tableau, as the shot items read it."""
+    rec = oracle.run(program, seed=seed, shot=shot, measure_logical=logical)
+    return lit_checks(rec), rec.logical_y
+
+
+def affine(result: oracle.MeasureResult) -> int:
+    """A walked outcome as ``aux << 1 | base``: XOR multiplies outcomes, the
+    outcome under coins c is the parity of it AND ``c << 1 | 1``, and 0
+    means +1 for every coin value."""
+    return result.aux << 1 | result.outcome
+
+
+def walk_outcomes(walk: oracle.Walk) -> dict[str, int]:
+    """Each check's :func:`affine` outcome on the walk."""
+    return {step.check_id: affine(step.result) for step in walk.checks}
+
+
+def predict_shots(walk: oracle.Walk, seed: int, shots: int) -> list[Shot]:
+    """The error-free shots 0..shots-1 that :func:`oracle.run` would record.
+
+    ``walk`` is the program's :func:`oracle.walk`, with the logical if the
+    shots measure it. Coin k is the random bit of random event k: keyed
+    ``m{position}`` for a check, ``"logical"`` for a random logical.
+    """
+    tokens = [f"m{step.position}".encode() for step in walk.checks
+              if not step.result.deterministic]
+    if walk.logical is not None and not walk.logical.deterministic:
+        tokens.append(b"logical")  # its event follows every check's
+    # an outcome that is 0 on the walk reads 0 in every shot
+    checks = [(c, v) for c, v in walk_outcomes(walk).items() if v]
+    logical = None if walk.logical is None else affine(walk.logical)
+    out = []
+    for shot in range(shots):
+        draw = oracle.shot_prefix(seed, shot).copy
+        coins = 0
+        for k, token in enumerate(tokens):
+            key = draw()
+            key.update(token)
+            coins |= (key.digest()[0] & 1) << k
+        reads = coins << 1 | 1
+        out.append((frozenset(c for c, v in checks if (v & reads).bit_count() & 1),
+                    None if logical is None else (logical & reads).bit_count() & 1))
+    return out
+
+
+def error_free_shots(program: oracle.Program, walk: oracle.Walk,
+                     logical: PauliOperator | None, seed: int,
+                     shots: int) -> tuple[list[Shot], bool]:
+    """The error-free shots and whether they are the walk's prediction.
+
+    The first ``REFEREE_SHOTS`` run on the tableau; if any differs from its
+    prediction, every shot comes from the tableau and the flag is False.
+    """
+    predicted = predict_shots(walk, seed, shots)
+    refereed = [tableau_shot(program, logical, seed, s)
+                for s in range(min(shots, REFEREE_SHOTS))]
+    if refereed == predicted[:len(refereed)]:
+        return predicted, True
+    return refereed + [tableau_shot(program, logical, seed, s)
+                       for s in range(len(refereed), shots)], False
 
 
 def check_builder_valid(diag: Diagram) -> CheckResult:
@@ -77,23 +160,31 @@ def check_linearity(diag: Diagram, space: WebSpace, seed: int = 0) -> CheckResul
                        f"{combos} random XOR combinations, {bad} invalid")
 
 
-def check_detectors(program: oracle.Program, dets: list[Web],
-                    shots: list[tuple[frozenset[str], int]]) -> CheckResult:
-    det_checks = oracle.deterministic_checks(program)
+def check_detectors(walk: oracle.Walk, dets: list[Web], shots: list[Shot],
+                    exact: bool) -> CheckResult:
+    """``exact``: the shots are the walk's prediction, so each stub product
+    must also be +1 on the walk for every coin value."""
+    det_checks = oracle.deterministic_checks(walk)
     stub_sets = [w.stub_set() for w in dets]
     single = {next(iter(s)) for s in stub_sets if len(s) == 1}
     flips = sum(len(lit & stub_set) & 1 for lit, _ in shots for stub_set in stub_sets)
     ok = single == det_checks and flips == 0
-    return CheckResult(
-        "detectors-deterministic", ok,
-        f"{len(dets)} detector webs; single-stub set "
-        f"{'matches' if single == det_checks else 'DIFFERS from'} oracle "
-        f"deterministic checks; {flips} nontrivial products over {len(shots)} shots")
+    detail = (f"{len(dets)} detector webs; single-stub set "
+              f"{'matches' if single == det_checks else 'DIFFERS from'} oracle "
+              f"deterministic checks; {flips} nontrivial products over {len(shots)} shots")
+    if ok and exact:
+        outcomes = walk_outcomes(walk)
+        broken = next((s for s in stub_sets
+                       if reduce(operator.xor, (outcomes[c] for c in s), 0)), None)
+        if broken is not None:
+            ok = False
+            detail += f"; stub set {sorted(broken)} is not +1 for every coin"
+    return CheckResult("detectors-deterministic", ok, detail)
 
 
-def check_correlator(program: oracle.Program, layout: Layout, scheme: str,
-                     op: PauliOperator, shots: list[tuple[frozenset[str], int]]) -> CheckResult:
-    diag = program.diagram
+def check_correlator(diag: Diagram, walk: oracle.Walk, layout: Layout, scheme: str,
+                     op: PauliOperator, shots: list[Shot], exact: bool) -> CheckResult:
+    """``exact``: as for :func:`check_detectors`, with the logical in the product."""
     result = webs.solve(diag, correlator_boundary_condition(diag, op))
     if isinstance(result, webs.Infeasible):
         return CheckResult("correlator", False, str(result))
@@ -107,10 +198,15 @@ def check_correlator(program: oracle.Program, layout: Layout, scheme: str,
                                "injected spider's leg is not Y-highlighted")
     stub_set = result.stub_set()
     bad = sum((len(lit & stub_set) + logical_y) & 1 for lit, logical_y in shots)
-    return CheckResult(
-        "correlator", bad == 0,
-        f"{scheme} logical correlator, stub set {sorted(stub_set)}; "
-        f"{bad}/{len(shots)} shots broke the outcome product")
+    ok = bad == 0
+    detail = (f"{scheme} logical correlator, stub set {sorted(stub_set)}; "
+              f"{bad}/{len(shots)} shots broke the outcome product")
+    if ok and exact:
+        outcomes = walk_outcomes(walk)
+        if reduce(operator.xor, (outcomes[c] for c in stub_set), affine(walk.logical)):
+            ok = False
+            detail += "; the outcome product is not +1 for every coin"
+    return CheckResult("correlator", ok, detail)
 
 
 def check_forbidden_termination(diag: Diagram, layout: Layout) -> CheckResult:
@@ -200,15 +296,14 @@ def run_suite(distance: int, scheme: str, rounds: int, *, seed: int = 0,
     program = oracle.lower(diag)
     space = webs.web_space(diag)
     dets = webs.detectors(diag)
-    # one tableau run per error-free shot: (lit checks, logical bit), read by two items
-    error_free = [(lit_checks(rec), rec.logical_y) for rec in (
-        oracle.run(program, seed=seed, shot=s, measure_logical=logical) for s in range(shots))]
+    walk = oracle.walk(program, logical)
+    error_free, exact = error_free_shots(program, walk, logical, seed, shots)
     results = [
         check_builder_valid(diag),
         check_web_space(diag, space),
         check_linearity(diag, space, seed=seed),
-        check_detectors(program, dets, error_free),
-        check_correlator(program, layout, scheme, logical, error_free),
+        check_detectors(walk, dets, error_free, exact),
+        check_correlator(diag, walk, layout, scheme, logical, error_free, exact),
     ]
     if scheme == "inject-y":
         results.append(check_forbidden_termination(diag, layout))

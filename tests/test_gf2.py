@@ -393,6 +393,19 @@ def test_stub_priority_rref_relabels_no_rows(monkeypatch):
     assert built == []
 
 
+def test_solve_and_web_space_list_the_bits_of_no_zero_vector(monkeypatch):
+    _, diagram, logical = scheme_circuit(5, "inject-y", 2)
+    listed = []
+    ones = gf2.ones
+    monkeypatch.setattr(gf2, "ones", lambda x: listed.append(x) or ones(x))
+    web = webs.solve(diagram, correlator_boundary_condition(diagram, logical))
+    assert isinstance(web, webs.Web)
+    assert listed and listed.count(0) == 0
+    listed.clear()
+    assert webs.web_space(diagram).dim
+    assert listed and listed.count(0) == 0
+
+
 @pytest.mark.parametrize("width", [0, 63, 64, 65, 129])
 def test_rref_matches_loop_on_random_matrices(width):
     rng = np.random.default_rng(4000 + width)

@@ -50,6 +50,12 @@ GOLDEN_STDOUT = {
     # the benchmark's webs-y9r3 command, with its scheme spelled out
     ("webs", "-d", "9", "--rounds", "3", "--scheme", "inject-y"):
         "f34864721029e6421225948ed940c1e8d09902427087c845a87e8a8fd024e79e",
+    # past the tableau referee's 8 shots: 192 and 42 error-free shots predicted
+    ("verify", "-d", "7", "--rounds", "3"):
+        "a66b36b39d49601298d68f9ffa486cfe0191f742fa01eaf5a26ba205e7cc8f48",
+    ("verify", "-d", "5", "--rounds", "3", "--scheme", "memory-x", "--shots", "50",
+     "--samples", "20"):
+        "130b6aa55173db24993eb4f11bfe897e502fbd09ba1e5dbb938216d13d4ea542",
     # the benchmark's verify-y5r2 command
     ("verify", "-d", "5", "--rounds", "2", "--shots", "20", "--samples", "20",
      "--footnote5", "--seed", "301"):

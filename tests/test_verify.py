@@ -1,5 +1,6 @@
-"""The verify items against test-local copies of the loops they replaced, and
-the FAIL lines they print under mutations of the webs, tableau and shots."""
+"""The verify items against test-local copies of the loops they replaced, the
+walk's prediction of the error-free shots against the tableau, and the FAIL
+lines the items print under mutations of the webs, tableau, shots and walk."""
 
 import math
 
@@ -7,8 +8,16 @@ import pytest
 
 from zxwebs import gf2, oracle, webs
 from zxwebs.pauli import PauliOperator
-from zxwebs.surface import InitState, scheme_circuit
-from zxwebs.verify import CheckResult, check_footnote5, check_web_space, run_suite
+from zxwebs.surface import SCHEMES, InitState, scheme_circuit
+from zxwebs.verify import (
+    REFEREE_SHOTS,
+    CheckResult,
+    check_correlator,
+    check_footnote5,
+    check_web_space,
+    predict_shots,
+    run_suite,
+)
 
 from conftest import assert_frozen_record
 
@@ -164,3 +173,115 @@ def test_shot_items_report_a_broken_web_or_tableau(monkeypatch, scheme, mutation
     failed = [f"FAIL {r.name}: {r.detail}"
               for r in run_suite(3, scheme, 2, seed=7, shots=50) if not r.ok]
     assert failed == [MUTATION_FAILURES[scheme, mutation]]
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("d, rounds", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)])
+def test_predicted_shots_equal_the_tableau_on_every_shot(scheme, d, rounds):
+    _, diag, logical = scheme_circuit(d, scheme, rounds)
+    program = oracle.lower(diag)
+    walk = oracle.walk(program, logical)
+    assert [step.check_id for step in walk.checks] == [c.check_id for c in program.structure.checks]
+    seed = 100 * d + rounds
+    for shot, (lit, logical_y) in enumerate(predict_shots(walk, seed, 50)):
+        rec = oracle.run(program, seed=seed, shot=shot, measure_logical=logical)
+        assert lit <= rec.outcomes.keys()
+        assert {c: int(c in lit) for c in rec.outcomes} == rec.outcomes
+        assert logical_y == rec.logical_y
+
+
+def count_tableau_shots(monkeypatch):
+    shots = []
+    real_run = oracle.run
+    monkeypatch.setattr(oracle, "run", lambda *args, **kwargs: shots.append(kwargs["shot"])
+                        or real_run(*args, **kwargs))
+    return shots
+
+
+@pytest.mark.parametrize("shots", [0, 5, REFEREE_SHOTS, 50])
+def test_a_correct_suite_runs_only_the_referee_shots_on_the_tableau(monkeypatch, shots):
+    ran = count_tableau_shots(monkeypatch)
+    results = run_suite(3, "inject-y", 2, seed=7, shots=shots)
+    assert all(r.ok for r in results)
+    assert ran == list(range(min(shots, REFEREE_SHOTS)))
+
+
+# zeroing the aux mask of the first forced check that has one: the check now
+# looks deterministic, and the tableau refutes the walk's prediction of it
+WALK_FAILURES = {
+    "inject-y":
+        "FAIL detectors-deterministic: 11 detector webs; single-stub set DIFFERS from "
+        "oracle deterministic checks; 0 nontrivial products over 50 shots",
+    "memory-z":
+        "FAIL detectors-deterministic: 12 detector webs; single-stub set DIFFERS from "
+        "oracle deterministic checks; 0 nontrivial products over 50 shots",
+}
+
+
+@pytest.mark.parametrize("scheme", list(WALK_FAILURES))
+def test_a_walk_that_loses_a_coin_fails_and_falls_back_to_the_tableau(monkeypatch, scheme):
+    real_walk = oracle.walk
+
+    def walk(program, measure_logical=None):
+        w = real_walk(program, measure_logical)
+        k = next(k for k, step in enumerate(w.checks)
+                 if step.result.deterministic and step.result.aux)
+        step = w.checks[k]
+        lost = step._replace(result=step.result._replace(aux=0))
+        return w._replace(checks=(*w.checks[:k], lost, *w.checks[k + 1:]))
+
+    monkeypatch.setattr(oracle, "walk", walk)
+    ran = count_tableau_shots(monkeypatch)
+    failed = [f"FAIL {r.name}: {r.detail}"
+              for r in run_suite(3, scheme, 2, seed=7, shots=50) if not r.ok]
+    assert failed == [WALK_FAILURES[scheme]]
+    assert ran == list(range(50))
+
+
+def pair_last_stub(dets):
+    """The first two-stub detector with its last stub edge cleared and the first
+    single-stub detector's web added: it keeps two stubs, so the single-stub
+    set is as it was, but its product now reads a coin."""
+    single = next(w for w in dets if len(w.stub_set()) == 1)
+    for k, w in enumerate(dets):
+        stubs = sorted(e for e in w.diagram.stub_index if w.mask >> 2 * e & 3)
+        if len(stubs) == 2:
+            mask = (w.mask & ~(3 << 2 * stubs[-1])) ^ single.mask
+            return [*dets[:k], webs.Web(w.diagram, mask), *dets[k + 1:]]
+    raise AssertionError("no detector has two stubs")
+
+
+# (scheme, seed): at 4 shots the coin the broken product reads is 0 in every
+# shot, so only the walk's all-coins condition sees the break
+EXACT_FAILURES = {
+    ("inject-y", 3):
+        "FAIL detectors-deterministic: 11 detector webs; single-stub set matches "
+        "oracle deterministic checks; 0 nontrivial products over 4 shots; "
+        "stub set ['r1.X2', 'r1.X3'] is not +1 for every coin",
+    ("memory-z", 11):
+        "FAIL detectors-deterministic: 12 detector webs; single-stub set matches "
+        "oracle deterministic checks; 0 nontrivial products over 4 shots; "
+        "stub set ['r1.X2', 'r1.Z0'] is not +1 for every coin",
+}
+
+
+@pytest.mark.parametrize("scheme, seed", list(EXACT_FAILURES))
+def test_a_break_no_drawn_shot_shows_fails_on_the_walk(monkeypatch, scheme, seed):
+    real_detectors = webs.detectors
+    monkeypatch.setattr(webs, "detectors", lambda d: pair_last_stub(real_detectors(d)))
+    failed = [f"FAIL {r.name}: {r.detail}"
+              for r in run_suite(3, scheme, 2, seed=seed, shots=4) if not r.ok]
+    assert failed == [EXACT_FAILURES[scheme, seed]]
+
+
+def test_a_correlator_product_that_reads_a_coin_fails_on_the_walk():
+    layout, diag, logical = scheme_circuit(3, "inject-y", 2)
+    walk = oracle.walk(oracle.lower(diag), logical)
+    shots = [(frozenset(), 0)] * 3
+    good = check_correlator(diag, walk, layout, "inject-y", logical, shots, True)
+    # the logical as if it were random: its own coin, the event after the checks'
+    coin = oracle.MeasureResult(0, False, 1 << len(walk.events))
+    bad = check_correlator(diag, walk._replace(logical=coin), layout, "inject-y",
+                           logical, shots, True)
+    assert good.ok and not bad.ok
+    assert bad.detail == good.detail + "; the outcome product is not +1 for every coin"
