@@ -28,7 +28,11 @@ unless their stub sets XOR to the wanted one; it never guesses.
 
 The model holds each outcome as one bit of an int over the outputs, with
 an int column per coin and per error bit; a shot XORs the columns of its
-drawn errors and 1-coins into the base, so sampling needs no numpy.
+drawn errors and 1-coins into the base, so sampling needs no numpy. The
+coin columns are read straight off the walk's aux masks. The error columns
+(``flips``) are built on first use, so shots with no error rate and no
+fixed insertion build no web: they are the walk's prediction of the
+error-free shots, which ``verify`` referees against the tableau.
 
 Errors and coins are drawn with the keys :func:`oracle.run` uses, so every
 record equals the tableau's for the same shot. A random check's coin is
@@ -48,13 +52,11 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import oracle, webs
 from .pauli import PauliOperator
 from .surface import correlator_boundary_condition
-
-LOGICAL = "logical"  # coin key of the logical measurement
 
 
 class ModelError(RuntimeError):
@@ -105,38 +107,52 @@ class OutcomeModel:
         self._post_cols = [checks.index(c) for c in self.postselect or ()]
         self.has_logical = logical is not None
 
-        events = walk.events
+        # outcomes = base ^ coins @ coin columns ^ errors @ flips  (mod 2), rows
+        # as ints. Coin k is random event k, named by bit k of an aux mask: a
+        # random check's aux is its own event, walked as 0, and a random
+        # logical's is the last event.
         results = [steps[c].result for c in checks]
-        coin_sets = [{c} if not r.deterministic else _aux_checks(r.aux, events)
-                     for c, r in zip(checks, results)]
-        targets = [coins | {c} if r.deterministic else None
-                   for c, r, coins in zip(checks, results, coin_sets)]
-        correlator = None
         if walk.logical is not None:
             results.append(walk.logical)
+        self._n_outputs = len(results)
+        self.base = sum(r.outcome << j for j, r in enumerate(results))
+        # error-free stream position of each event's check; -1 for the logical's
+        positions = [step.position for step in walk.checks if not step.result.deterministic]
+        if walk.logical is not None and not walk.logical.deterministic:
+            positions.append(-1)
+        columns = [0] * len(positions)
+        for j, r in enumerate(results):
+            aux = r.aux
+            while aux:
+                columns[(aux & -aux).bit_length() - 1] |= 1 << j
+                aux &= aux - 1
+        # only the coins some output reads are drawn
+        self._coins = [(pos, column) for pos, column in zip(positions, columns) if column]
+        self._program, self._logical, self._walk = program, logical, walk
+        self._check_results = list(zip(checks, results))
+
+    @cached_property
+    def flips(self) -> list[int]:
+        """Per error bit, the outputs it flips, as an int over the outputs.
+
+        Built on first use: only drawn errors and fixed insertions read it,
+        so shots with neither build no web.
+        """
+        walk, events = self._walk, self._walk.events
+        targets = [{c} | _aux_checks(r.aux, events) if r.deterministic else None
+                   for c, r in self._check_results]
+        correlator = None
+        if walk.logical is not None:
             if walk.logical.deterministic:
-                coin_sets.append(_aux_checks(walk.logical.aux, events))
-                d = program.diagram
-                correlator = webs.solve(d, correlator_boundary_condition(d, logical))
+                d = self._program.diagram
+                correlator = webs.solve(d, correlator_boundary_condition(d, self._logical))
                 if isinstance(correlator, webs.Infeasible):
                     raise ModelError(
                         f"the logical is forced but has no correlator web: {correlator}")
-                targets.append(correlator.stub_set() ^ coin_sets[-1])
+                targets.append(correlator.stub_set() ^ _aux_checks(walk.logical.aux, events))
             else:
-                coin_sets.append({LOGICAL})
                 targets.append(None)
-
-        # outcomes = base ^ coins @ coin_map ^ errors @ flips  (mod 2), rows as
-        # ints; a random outcome walked with coin 0 is 0, so its coin decides
-        self._n_outputs = len(results)
-        self.base = sum(r.outcome << j for j, r in enumerate(results))
-        coins = sorted(set().union(*coin_sets),
-                       key=lambda c: -1 if c == LOGICAL else steps[c].position)
-        # error-free stream position of each coin's check; -1 for the logical's
-        self._coin_positions = [-1 if c == LOGICAL else steps[c].position for c in coins]
-        self.coin_map = [sum(1 << col for col, coin_set in enumerate(coin_sets) if c in coin_set)
-                         for c in coins]
-        self.flips = _flip_columns(program, targets, correlator)
+        return _flip_columns(self._program, targets, correlator)
 
     def shots(self, seed: int, n_shots: int, *, error_rate: float = 0.0,
               z_error_rate: float = 0.0, fixed: Iterable[tuple[int, str]] = ()
@@ -161,10 +177,9 @@ class OutcomeModel:
                  for letter, rate, col in (("x", error_rate, q),
                                            ("z", z_error_rate, self.n + q)) if rate]
         # a coin's token is m{its error-free position + the shot's insertions}
-        last = max(self._coin_positions, default=-1) + len(fixed) + len(draws)
+        last = max((pos for pos, _ in self._coins), default=-1) + len(fixed) + len(draws)
         marks = [f"m{i}".encode() for i in range(last + 1)]
-        coins = list(zip(self._coin_positions, self.coin_map))
-        logical = LOGICAL.encode()
+        coins = self._coins
         outputs = range(self._n_outputs)
         for shot in range(n_shots):
             draw = oracle.shot_prefix(seed, shot).copy
@@ -177,7 +192,7 @@ class OutcomeModel:
                     count += 1
             for pos, column in coins:
                 key = draw()
-                key.update(logical if pos < 0 else marks[pos + count])
+                key.update(b"logical" if pos < 0 else marks[pos + count])
                 if key.digest()[0] & 1:
                     value ^= column
             yield count, self._record([value >> j & 1 for j in outputs])

@@ -490,7 +490,7 @@ def test_rref_matches_loop_on_every_pipeline_call(monkeypatch, scheme, d, rounds
             with monkeypatch.context() as loop:
                 loop.setattr(gf2, "rref", loop_rref)
                 assert webs.solve(diagram, bc) == web
-    sampler.OutcomeModel(oracle.lower(diagram), logical)
+    sampler.OutcomeModel(oracle.lower(diagram), logical).flips  # built on first use
     assert len(cells) > 8
     assert infeasible or scheme != "inject-y"   # its Z correlator is infeasible
 

@@ -64,8 +64,8 @@ GOLDEN_STDOUT = {
 
 # (stdout, stderr) digests of sample runs whose summary goes to stderr: the
 # benchmark's sample-y5 command, a run with fixed Y and cancelling X
-# insertions under all-deterministic post-selection, and one at the edge
-# rates, where every X draw fires and Z draws split at one half.
+# insertions under all-deterministic post-selection, one at the edge rates,
+# where every X draw fires and Z draws split at one half, and one at rate 0.
 GOLDEN_STDOUT_STDERR = {
     ("sample", "-d", "5", "--rounds", "1", "--scheme", "inject-y", "-p", "0.01",
      "--postselect", "figure-set", "--format", "csv", "--shots", "500",
@@ -82,6 +82,11 @@ GOLDEN_STDOUT_STDERR = {
      "--seed", "11"):
         ("a8ee079c917749f0f6ff12898b4abf27d760fcbd9e8f67dce1a7445d4b85286b",
          "39e5ff095139d1490bb700ef67586a2b7827a56f056e52addb9db3f8a760f742"),
+    # error-free: no shot draws an error, so no web is built
+    ("sample", "-d", "3", "--rounds", "2", "--scheme", "memory-z", "-p", "0",
+     "--postselect", "all-deterministic", "--format", "jsonl", "--seed", "4"):
+        ("662812ae3bdf0e9751b5d590c6c644ba73b5137b4065d1b3d97903a5f6e1c4bc",
+         "1cc7209fcbbfbb0be1984ba9ba5ba7298366a22a6b610c9565708564864111be"),
 }
 
 # (exit code, stderr) digests of infeasible correlators on the default

@@ -7,9 +7,9 @@ tableau's on the same insertions, drawn here with the sample command's keys.
 
 import pytest
 
-from zxwebs import oracle, sampler, webs
+from zxwebs import cli, oracle, sampler, webs
 from zxwebs.diagram import Color, Diagram, Node
-from zxwebs.surface import scheme_circuit
+from zxwebs.surface import logical_operator, scheme_circuit
 
 SHOTS = 10
 SEED = 4
@@ -74,6 +74,31 @@ def test_model_matches_tableau_where_detectors_share_their_last_stub(scheme):
     want = [tableau_shot(program, logical, None, SEED, shot, 0.1, 0.1, ())
             for shot in range(SHOTS)]
     assert got == want
+
+
+@pytest.mark.parametrize("error_rate", [0.0, 0.1])
+def test_a_random_logical_reads_the_last_coin(error_rate):
+    # memory-z prepares Z_L, so X_L comes out random: its coin is keyed "logical"
+    layout, diag, _ = scheme_circuit(3, "memory-z", 2)
+    program = oracle.lower(diag)
+    x_l = logical_operator(layout, "X")
+    assert not oracle.walk(program, x_l).logical.deterministic
+    model = sampler.OutcomeModel(program, x_l)
+    got = list(model.shots(SEED, 20, error_rate=error_rate))
+    assert got == [tableau_shot(program, x_l, None, SEED, shot, error_rate, 0.0, ())
+                   for shot in range(20)]
+    assert {rec.logical_y for _, rec in got} == {0, 1}
+
+
+def test_error_free_shots_build_no_web(monkeypatch, capsys):
+    def no_web(*args):
+        raise AssertionError("a web was built")
+
+    monkeypatch.setattr(webs, "detectors", no_web)
+    monkeypatch.setattr(webs, "solve", no_web)
+    assert cli.main(["sample", "-d", "3", "--rounds", "2", "-p", "0", "--postselect",
+                     "all-deterministic", "--format", "jsonl"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1000
 
 
 def coin_chain_diagram():
@@ -186,17 +211,19 @@ def test_missing_detector_combination_raises(monkeypatch):
     layout, diag, logical = scheme_circuit(3, "inject-y")
     program = oracle.lower(diag)
     monkeypatch.setattr(webs, "detectors", lambda d: [])
+    model = sampler.OutcomeModel(program, logical,
+                                 postselect=postselect_set(program, "figure-set"))
     with pytest.raises(sampler.ModelError, match="stub set"):
-        sampler.OutcomeModel(program, logical,
-                             postselect=postselect_set(program, "figure-set"))
+        next(model.shots(SEED, 1, error_rate=0.1))
 
 
 def test_missing_correlator_raises(monkeypatch):
     layout, diag, logical = scheme_circuit(3, "inject-y")
     program = oracle.lower(diag)
     monkeypatch.setattr(webs, "solve", lambda d, bc: webs.Infeasible((), ()))
+    model = sampler.OutcomeModel(program, logical)
     with pytest.raises(sampler.ModelError, match="correlator"):
-        sampler.OutcomeModel(program, logical)
+        model.flips
 
 
 def test_unknown_checks_and_bad_insertions_are_rejected():

@@ -1,12 +1,12 @@
 """The verify items against test-local copies of the loops they replaced, the
-walk's prediction of the error-free shots against the tableau, and the FAIL
-lines the items print under mutations of the webs, tableau, shots and walk."""
+prediction of the error-free shots against the tableau, and the FAIL lines
+the items print under mutations of the webs, tableau, shots and walk."""
 
 import math
 
 import pytest
 
-from zxwebs import gf2, oracle, webs
+from zxwebs import gf2, oracle, sampler, webs
 from zxwebs.pauli import PauliOperator
 from zxwebs.surface import SCHEMES, InitState, scheme_circuit
 from zxwebs.verify import (
@@ -15,7 +15,6 @@ from zxwebs.verify import (
     check_correlator,
     check_footnote5,
     check_web_space,
-    predict_shots,
     run_suite,
 )
 
@@ -178,16 +177,14 @@ def test_shot_items_report_a_broken_web_or_tableau(monkeypatch, scheme, mutation
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 @pytest.mark.parametrize("d, rounds", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)])
 def test_predicted_shots_equal_the_tableau_on_every_shot(scheme, d, rounds):
+    # verify's prediction: the sampler's model at zero rates
     _, diag, logical = scheme_circuit(d, scheme, rounds)
     program = oracle.lower(diag)
-    walk = oracle.walk(program, logical)
-    assert [step.check_id for step in walk.checks] == [c.check_id for c in program.structure.checks]
     seed = 100 * d + rounds
-    for shot, (lit, logical_y) in enumerate(predict_shots(walk, seed, 50)):
-        rec = oracle.run(program, seed=seed, shot=shot, measure_logical=logical)
-        assert lit <= rec.outcomes.keys()
-        assert {c: int(c in lit) for c in rec.outcomes} == rec.outcomes
-        assert logical_y == rec.logical_y
+    model = sampler.OutcomeModel(program, logical)
+    for shot, (n_errors, rec) in enumerate(model.shots(seed, 50)):
+        assert n_errors == 0
+        assert rec == oracle.run(program, seed=seed, shot=shot, measure_logical=logical)
 
 
 def count_tableau_shots(monkeypatch):
@@ -204,6 +201,21 @@ def test_a_correct_suite_runs_only_the_referee_shots_on_the_tableau(monkeypatch,
     results = run_suite(3, "inject-y", 2, seed=7, shots=shots)
     assert all(r.ok for r in results)
     assert ran == list(range(min(shots, REFEREE_SHOTS)))
+
+
+def test_a_prediction_with_a_wrong_forced_flag_falls_back_to_the_tableau(monkeypatch):
+    # the outcomes are right, so only a referee of whole records sees it
+    real_shots = sampler.OutcomeModel.shots
+
+    def shots(self, *args, **kwargs):
+        for n_errors, rec in real_shots(self, *args, **kwargs):
+            flipped = {**rec.forced, "r1.Z0": not rec.forced["r1.Z0"]}
+            yield n_errors, rec._replace(forced=flipped)
+
+    monkeypatch.setattr(sampler.OutcomeModel, "shots", shots)
+    ran = count_tableau_shots(monkeypatch)
+    assert all(r.ok for r in run_suite(3, "inject-y", 2, seed=7, shots=20))
+    assert ran == list(range(20))
 
 
 # zeroing the aux mask of the first forced check that has one: the check now
