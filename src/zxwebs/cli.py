@@ -307,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="random error insertions for syndrome checks")
     p_verify.add_argument("--footnote5", action="store_true",
                           help="include the random-parity tableau reproduction "
-                               "(always 1000 draws, whatever --shots says: its "
-                               "chi-square gate needs that many)")
+                               "(one exact tableau branch per coin value)")
 
     p_sample = sub.add_parser("sample", help="Monte Carlo with init-time errors")
     _add_common(p_sample)

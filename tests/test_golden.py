@@ -41,7 +41,7 @@ GOLDEN_STDOUT = {
      "--seed", "3"):
         "5d2c6671dc02324e00965e391454ddba7e29482f6d4d56c652557d7974d3aa85",
     ("verify", "-d", "3", "--rounds", "2", "--samples", "20", "--footnote5"):
-        "47e55a78fc7ced0165feb6156deea92caa11a300eca00a0f9b4298a4acef44f4",
+        "7d16870c326a75b526bcb9d0ff01ec8c4fb82f33879f6726c5c121947c055a65",
     ("verify", "-d", "3", "--rounds", "2", "--scheme", "memory-z", "--shots", "50",
      "--samples", "20"):
         "b5b720e833c4ce8a2354a45a3b9f9ff67e3e63778ffc3928242960f620dfe3fa",
@@ -59,7 +59,7 @@ GOLDEN_STDOUT = {
     # the benchmark's verify-y5r2 command
     ("verify", "-d", "5", "--rounds", "2", "--shots", "20", "--samples", "20",
      "--footnote5", "--seed", "301"):
-        "61e6e66ed584eb3c280f4ccf211a991ccb784cfd5b664dc3b41ac352e402c07e",
+        "b3b6d9956fa59c38bf9bf0c2dbb98570d6ed53d3fa3a191eb9b69c8374626128",
 }
 
 # (stdout, stderr) digests of sample runs whose summary goes to stderr: the

@@ -1,12 +1,17 @@
+from itertools import product
+
 import pytest
 
+from zxwebs import oracle, webs
 from zxwebs.diagram import Kind, validate
 from zxwebs.pauli import PauliOperator
 from zxwebs.surface import (
     SCHEMES,
     CircuitSpec,
     InitState,
+    build_diagram,
     build_layout,
+    correlator_boundary_condition,
     injection_pattern,
     logical_operators,
     memory_pattern,
@@ -96,6 +101,28 @@ def test_injection_pattern_d3():
     assert pattern[2] is InitState.Y
     assert {q for q, s in pattern.items() if s is InitState.ZERO} == {5, 7, 8}
     assert {q for q, s in pattern.items() if s is InitState.PLUS} == {0, 1, 3, 4, 6}
+
+
+def test_injection_pattern_d3_is_a_best_pattern_the_webs_derive():
+    # every |0>/|+> pattern around the corner |Y> at rounds 1: valid if the
+    # Y_L correlator web exists, best if it post-selects the most (first-round)
+    # checks
+    layout = build_layout(3)
+    corner = layout.qubit_index(0, 2)
+    y_l = logical_operators(layout)[2]
+    others = [q for q in range(layout.n) if q != corner]
+    post_selected = {}
+    for states in product((InitState.ZERO, InitState.PLUS), repeat=len(others)):
+        pattern = {corner: InitState.Y, **dict(zip(others, states))}
+        diag = build_diagram(CircuitSpec(layout, pattern, 1))
+        if isinstance(webs.solve(diag, correlator_boundary_condition(diag, y_l)),
+                      webs.Infeasible):
+            continue
+        post_selected[tuple(states)] = len(oracle.deterministic_checks(oracle.lower(diag)))
+    best = max(post_selected.values())
+    best_patterns = [states for states, n in post_selected.items() if n == best]
+    assert (len(post_selected), best, len(best_patterns)) == (52, 3, 2)
+    assert tuple(injection_pattern(layout)[q] for q in others) in best_patterns
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
