@@ -1,9 +1,12 @@
 """Command-line front end: layout, webs, verify and sample subcommands.
 
-All outputs are deterministic functions of the parsed configuration
-(including the seed), so identical invocations produce byte-identical
-documents. Exit codes: 0 success, 1 verification failure or infeasible
-request, 2 usage errors.
+:func:`build_parser` is the one table of the options, their defaults and
+the ``cmd_*`` function each subcommand runs; every ``cmd_*`` reads the
+parsed namespace, and :func:`main` range-checks it in one place. All
+outputs are deterministic functions of the parsed options (including the
+seed), so identical invocations produce byte-identical documents. Exit
+codes: 0 success, 1 verification failure or infeasible request, 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 
 from . import oracle, sampler, verify, webs
 from .diagram import export
@@ -34,34 +38,12 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-class RunConfig:
-    """The parsed options of one command."""
-
-    def __init__(self, distance: int = 5, rounds: int = 1, scheme: str = "inject-y",
-                 seed: int = 0, shots: int = 1000, error_rate: float = 0.0,
-                 z_error_rate: float = 0.0, errors: tuple[str, ...] = (),
-                 postselect: str = "none", correlator: str = "auto", fmt: str = "json",
-                 out: str | None = None):
-        self.distance, self.rounds, self.scheme, self.seed = distance, rounds, scheme, seed
-        self.shots, self.error_rate, self.z_error_rate = shots, error_rate, z_error_rate
-        self.errors = errors  # e.g. ("X:14", "Z:3")
-        self.postselect = postselect  # none | figure-set | all-deterministic
-        self.correlator, self.fmt, self.out = correlator, fmt, out
-
-    def validate(self) -> None:
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        for rate in (self.error_rate, self.z_error_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"error rate {rate} outside [0, 1]")
-
-
 def _pauli_doc(op: PauliOperator) -> dict:
     return {"sign": op.sign, "paulis": [[q, letter] for q, letter in op.paulis]}
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -71,12 +53,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _postselect_set(source: oracle.Program | oracle.Walk,
-                    config: RunConfig) -> list[str] | None:
-    if config.postselect == "none":
+def _postselect_set(source: oracle.Program | oracle.Walk, mode: str) -> list[str] | None:
+    if mode == "none":
         return None
     checks = oracle.deterministic_checks(source)
-    if config.postselect == "figure-set":
+    if mode == "figure-set":
         checks = {c for c in checks if c.startswith("r1.")}
     return sorted(checks)
 
@@ -84,7 +65,7 @@ def _postselect_set(source: oracle.Program | oracle.Walk,
 # -- layout -------------------------------------------------------------------
 
 
-def cmd_layout(config: RunConfig) -> int:
+def cmd_layout(config: argparse.Namespace) -> int:
     layout, diag, _ = scheme_circuit(config.distance, config.scheme)
     pattern = SCHEMES[config.scheme].pattern(layout)
     det = sorted(oracle.deterministic_checks(oracle.lower(diag)))
@@ -112,7 +93,7 @@ def cmd_layout(config: RunConfig) -> int:
 # -- webs ---------------------------------------------------------------------
 
 
-def cmd_webs(config: RunConfig) -> int:
+def cmd_webs(config: argparse.Namespace) -> int:
     layout, diag, _ = scheme_circuit(config.distance, config.scheme, config.rounds)
     which = config.correlator
     if which == "auto":
@@ -157,14 +138,11 @@ def cmd_webs(config: RunConfig) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def cmd_verify(config: RunConfig, exhaustive: bool, samples: int,
-               footnote5: bool) -> int:
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+def cmd_verify(config: argparse.Namespace) -> int:
     results = verify.run_suite(
         config.distance, config.scheme, config.rounds,
-        seed=config.seed, shots=config.shots,
-        exhaustive_errors=exhaustive, samples=samples, footnote5=footnote5)
+        seed=config.seed, shots=config.shots, exhaustive_errors=config.exhaustive_errors,
+        samples=config.samples, footnote5=config.footnote5)
     lines = [f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}" for res in results]
     failures = sum(not res.ok for res in results)
     lines.append(f"{len(results) - failures}/{len(results)} checks passed")
@@ -186,7 +164,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _parse_error_flags(layout: Layout, flags: tuple[str, ...]) -> list[tuple[int, str]]:
+def _parse_error_flags(layout: Layout, flags: list[str]) -> list[tuple[int, str]]:
     items = []
     for flag in flags:
         try:
@@ -202,19 +180,19 @@ def _parse_error_flags(layout: Layout, flags: tuple[str, ...]) -> list[tuple[int
     return items
 
 
-def cmd_sample(config: RunConfig) -> int:
+def cmd_sample(config: argparse.Namespace) -> int:
     layout, diag, logical = scheme_circuit(config.distance, config.scheme,
                                            config.rounds)
     program = oracle.lower(diag)
     walk = oracle.walk(program, logical)
-    postselect = _postselect_set(walk, config)
+    postselect = _postselect_set(walk, config.postselect)
     # only jsonl prints check outcomes; the other formats need just the
     # post-selected ones, which take no coins
     model = sampler.OutcomeModel(program, logical, postselect=postselect, walk=walk,
-                                 report=None if config.fmt == "jsonl" else ())
+                                 report=config.fmt == "jsonl")
     shots = model.shots(config.seed, config.shots, error_rate=config.error_rate,
                         z_error_rate=config.z_error_rate,
-                        fixed=_parse_error_flags(layout, config.errors))
+                        fixed=_parse_error_flags(layout, config.error))
     # a jsonl record's keys and forced flags are the same in every shot
     keys = sorted(model.report)
     forced = {k: model.forced[k] for k in keys}
@@ -268,7 +246,9 @@ def cmd_sample(config: RunConfig) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, rounds: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser,
+                run: Callable[[argparse.Namespace], int], rounds: bool = True) -> None:
+    parser.set_defaults(run=run)
     parser.add_argument("-d", "--distance", type=int, default=5,
                         help="code distance (odd, >= 3)")
     if rounds:
@@ -287,17 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_layout = sub.add_parser("layout", help="emit the lattice layout document")
-    _add_common(p_layout, rounds=False)  # the document describes round 1 only
+    _add_common(p_layout, cmd_layout, rounds=False)  # the document describes round 1 only
 
     p_webs = sub.add_parser("webs", help="emit web space, correlator and detectors")
-    _add_common(p_webs)
+    _add_common(p_webs, cmd_webs)
     p_webs.add_argument("--correlator", choices=("Y", "Z", "X", "none", "auto"),
                         default="auto")
     p_webs.add_argument("--format", dest="fmt", choices=("json", "dot", "tikz"),
                         default="json")
 
     p_verify = sub.add_parser("verify", help="run the web/oracle cross-check suite")
-    _add_common(p_verify)
+    _add_common(p_verify, cmd_verify)
     p_verify.add_argument("--shots", type=int, default=200,
                           help="error-free shots of the determinism and correlator "
                                "items, predicted from one walk; the first "
@@ -310,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(one exact tableau branch per coin value)")
 
     p_sample = sub.add_parser("sample", help="Monte Carlo with init-time errors")
-    _add_common(p_sample)
+    _add_common(p_sample, cmd_sample)
     p_sample.add_argument("--shots", type=int, default=1000)
     p_sample.add_argument("-p", "--error-rate", type=float, default=0.0,
                           help="i.i.d. init X error rate per qubit")
@@ -326,37 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(distance=args.distance, scheme=args.scheme, seed=args.seed,
-                       out=args.out)
-    for name in ("rounds", "shots", "error_rate", "z_error_rate", "postselect",
-                 "fmt", "correlator"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "error"):
-        config.errors = tuple(args.error)
-    config.validate()
-    return config
+def _validate(args: argparse.Namespace) -> None:
+    """Range checks argparse cannot make, on the options a subcommand has."""
+    if getattr(args, "shots", 1) < 1:
+        raise ValueError("shots must be >= 1")
+    for rate in (getattr(args, "error_rate", 0.0), getattr(args, "z_error_rate", 0.0)):
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"error rate {rate} outside [0, 1]")
+    if getattr(args, "samples", 0) < 0:
+        raise ValueError("samples must be >= 0")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from(args)
-        if args.command == "layout":
-            return cmd_layout(config)
-        if args.command == "webs":
-            return cmd_webs(config)
-        if args.command == "verify":
-            return cmd_verify(config, args.exhaustive_errors, args.samples,
-                              args.footnote5)
-        if args.command == "sample":
-            return cmd_sample(config)
+        _validate(args)
+        return args.run(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ per draw.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import cached_property, reduce
 
@@ -75,9 +74,9 @@ def _error_columns(n: int, qubit: int, letter: str) -> list[int]:
 class OutcomeModel:
     """The outcomes of a lowered circuit under init-time Pauli errors.
 
-    ``report`` names the checks whose outcomes each record carries, each
-    once (default: every check); ``postselect`` the checks that must all
-    read +1 for a shot to be accepted, as in :func:`oracle.run`. ``walk`` is
+    ``report`` says whether each record carries every check's outcome
+    (default) or none; ``postselect`` names the checks that must all read
+    +1 for a shot to be accepted, as in :func:`oracle.run`. ``walk`` is
     the program's :func:`oracle.walk` with ``logical``, if the caller has it
     already. Only the coins a reported or post-selected check or the logical
     depends on are ever drawn.
@@ -85,22 +84,18 @@ class OutcomeModel:
 
     def __init__(self, program: oracle.Program, logical: PauliOperator | None = None, *,
                  postselect: Iterable[str] | None = None,
-                 report: Iterable[str] | None = None,
+                 report: bool = True,
                  walk: oracle.Walk | None = None):
         if walk is None:
             walk = oracle.walk(program, logical)
         if (logical is None) != (walk.logical is None):
             raise ValueError("the walk and the model disagree on measuring the logical")
         steps = {step.check_id: step for step in walk.checks}
-        self.report = list(steps) if report is None else list(report)
+        self.report = list(steps) if report else []
         self.postselect = None if postselect is None else list(postselect)
-        unknown = sorted(set(self.report).union(self.postselect or ()) - set(steps))
+        unknown = sorted(set(self.postselect or ()) - set(steps))
         if unknown:
             raise ValueError(f"unknown check ids: {unknown}")
-        # each record zips report with one output per distinct check
-        repeated = sorted(c for c, k in Counter(self.report).items() if k > 1)
-        if repeated:
-            raise ValueError(f"repeated check ids in report: {repeated}")
         self.n = program.structure.n
         self.forced = {c: steps[c].result.deterministic for c in self.report}
         checks = list(dict.fromkeys(self.report + (self.postselect or [])))

@@ -32,12 +32,6 @@ def test_layout_memory_z_d3(capsys):
     assert doc["postselect"] == [f"r1.Z{k}" for k in range(4)]
 
 
-def test_layout_rejects_even_distance(capsys):
-    code, _, err = invoke(capsys, ["layout", "-d", "4"])
-    assert code == 2
-    assert "odd" in err
-
-
 def test_webs_injection_y_correlator(capsys):
     code, out, _ = invoke(capsys, ["webs", "-d", "5", "--scheme", "inject-y",
                                    "--correlator", "Y"])
@@ -130,13 +124,27 @@ def test_sample_jsonl_stream(capsys):
     assert json.loads(err)["acceptance_rate"] == 1.0
 
 
-def test_sample_validates_rate_and_error_flags(capsys):
-    code, _, err = invoke(capsys, ["sample", "-d", "3", "-p", "1.5"])
-    assert code == 2 and "error rate" in err
-    code, _, err = invoke(capsys, ["sample", "-d", "3", "--error", "X:99"])
-    assert code == 2 and "lattice" in err
-    code, _, err = invoke(capsys, ["sample", "-d", "3", "--error", "bogus"])
-    assert code == 2
+@pytest.mark.parametrize("argv,message", [
+    (["layout", "-d", "4"], "odd"),
+    (["layout", "-d", "3", "--out", ""], "cannot write --out '': No such file or directory"),
+    (["webs", "-d", "3", "--rounds", "0"], "rounds must be >= 1"),
+    (["verify", "-d", "3", "--samples", "-3"], "samples must be >= 0"),
+    (["verify", "-d", "3", "--shots", "0"], "shots must be >= 1"),
+    (["verify", "-d", "3", "--rounds", "0"], "rounds must be >= 1"),
+    (["sample", "-d", "3", "-p", "1.5"], "error rate 1.5"),
+    (["sample", "-d", "3", "--z-error-rate", "-0.1"], "error rate -0.1"),
+    (["sample", "-d", "3", "--error", "X:99"], "lattice"),
+    (["sample", "-d", "3", "--error", "bogus"], "LETTER:QUBIT"),
+    (["sample", "-d", "3", "--shots", "0"], "shots must be >= 1"),
+    (["sample", "-d", "3", "--rounds", "0"], "rounds must be >= 1"),
+], ids=["layout-even-distance", "layout-empty-out", "webs-rounds-0", "verify-samples",
+        "verify-shots-0", "verify-rounds-0", "sample-rate", "sample-z-rate", "sample-error-qubit",
+        "sample-error-flag", "sample-shots-0", "sample-rounds-0"])
+def test_usage_error(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -169,9 +177,8 @@ def test_out_file_writing(tmp_path, capsys):
 def test_postselect_modes_two_rounds_d5(mode, expected):
     args = cli.build_parser().parse_args(
         ["sample", "-d", "5", "--rounds", "2", "--postselect", mode])
-    config = cli._config_from(args)
     _, diag = make_diagram(5, "inject-y", rounds=2)
-    selected = cli._postselect_set(oracle.lower(diag), config)
+    selected = cli._postselect_set(oracle.lower(diag), args.postselect)
     assert set(selected) == expected
     assert len(selected) == (10 if mode == "figure-set" else 20)
 
@@ -181,12 +188,6 @@ def test_postselect_rounds_flag_is_gone(capsys):
         cli.main(["sample", "-d", "3", "--postselect", "figure-set",
                   "--postselect-rounds", "all"])
     assert exc.value.code == 2
-
-
-def test_verify_rejects_negative_samples(capsys):
-    code, out, err = invoke(capsys, ["verify", "-d", "3", "--samples", "-3"])
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "samples" in err
 
 
 def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
@@ -201,5 +202,5 @@ def test_layout_rejects_rounds(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["layout", "-d", "3", "--rounds", "2"])
     assert exc.value.code == 2
-    config = cli._config_from(cli.build_parser().parse_args(["layout", "-d", "3"]))
-    assert (config.distance, config.rounds) == (3, 1)
+    args = cli.build_parser().parse_args(["layout", "-d", "3"])
+    assert args.distance == 3 and not hasattr(args, "rounds")

@@ -183,7 +183,7 @@ def test_unreported_outcomes_draw_no_coins(monkeypatch):
 
     shot_prefix = oracle.shot_prefix
     monkeypatch.setattr(oracle, "shot_prefix", lambda *args: Spy(shot_prefix(*args)))
-    quiet = sampler.OutcomeModel(program, logical, postselect=postselect, report=())
+    quiet = sampler.OutcomeModel(program, logical, postselect=postselect, report=False)
     quiet_records = list(quiet.shots(SEED, 20, error_rate=0.05))
     assert calls == []
     assert all(rec.outcomes == {} for _, rec in quiet_records)
@@ -238,11 +238,9 @@ def test_unknown_checks_and_bad_insertions_are_rejected():
         next(model.shots(0, 1, fixed=[(9, "X")]))
 
 
-def test_repeated_report_ids_are_rejected():
+def test_repeated_postselect_ids_are_one_condition():
     _, diag, logical = scheme_circuit(3, "inject-y")
     program = oracle.lower(diag)
-    with pytest.raises(ValueError, match=r"repeated check ids in report: \['r1.Z0'\]"):
-        sampler.OutcomeModel(program, logical, report=["r1.Z0", "r1.X1", "r1.Z0"])
     # a repeated post-selected check is the same condition twice
     twice = sampler.OutcomeModel(program, logical, postselect=["r1.Z0", "r1.Z0"])
     once = sampler.OutcomeModel(program, logical, postselect=["r1.Z0"])
